@@ -237,11 +237,11 @@ let run_script_arg =
 
 (* Execute a schedule for real: every native run is verified
    bit-identical to the serial reference interpreter before it is
-   timed, and a mismatch is a hard error — measured numbers for wrong
-   answers are worthless. *)
+   timed, and a mismatch (or an out-of-range subscript) is a hard
+   error — measured numbers for wrong answers are worthless. *)
 let run_native kernel n p sched variant procs strip steps reps warmup json =
   (match Native.verify ~steps sched with
-  | Error m -> `Error (false, "bit-identity verification failed: " ^ m)
+  | Error m -> `Error (false, m)
   | Ok () ->
     let policy =
       { Bench_timer.default_policy with warmup; repetitions = reps }
@@ -338,8 +338,10 @@ let run_exec kernel n backend machine_name procs strip steps schedule_name
         | "native" ->
           run_native kernel n p sched variant procs strip steps reps warmup
             json
-        | "sim" ->
-          run_sim kernel n p sched variant machine_name procs opts json
+        | "sim" -> (
+          try run_sim kernel n p sched variant machine_name procs opts json
+          with Interp.Out_of_bounds m ->
+            `Error (false, "subscript out of range: " ^ m))
         | b -> `Error (false, "unknown backend " ^ b ^ " (try native, sim)")))
 
 let run_cmd =

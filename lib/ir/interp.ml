@@ -55,6 +55,10 @@ let find_extents st name =
 
 exception Out_of_bounds of string
 
+let out_of_bounds ~array ~dim ~index ~extent =
+  Out_of_bounds
+    (Printf.sprintf "%s dim %d index %d not in [0,%d)" array dim index extent)
+
 (* Row-major flat index with bounds checking. *)
 let flat_index st (r : Ir.aref) idx =
   let ext = find_extents st r.array in
@@ -64,10 +68,7 @@ let flat_index st (r : Ir.aref) idx =
     (fun d v ->
       if d >= n then raise (Out_of_bounds r.array);
       if v < 0 || v >= ext.(d) then
-        raise
-          (Out_of_bounds
-             (Printf.sprintf "%s dim %d index %d not in [0,%d)" r.array d v
-                ext.(d)));
+        raise (out_of_bounds ~array:r.array ~dim:d ~index:v ~extent:ext.(d));
       k := (!k * ext.(d)) + v)
     idx;
   !k

@@ -22,6 +22,11 @@ val find_extents : store -> string -> int array
 
 exception Out_of_bounds of string
 
+val out_of_bounds : array:string -> dim:int -> index:int -> extent:int -> exn
+(** The {!Out_of_bounds} every backend raises, with one message format:
+    ["<array> dim <d> index <i> not in [0,<extent>)"].  Callers write
+    [raise (out_of_bounds ...)], so the compiler sees the branch end. *)
+
 val eval_expr : store -> (Ir.var -> int) -> Ir.expr -> float
 val exec_stmt : store -> (Ir.var -> int) -> Ir.stmt -> unit
 val exec_iteration : store -> Ir.nest -> (Ir.var -> int) -> unit

@@ -196,6 +196,7 @@ let access ctx aid addr =
 
 type cref = {
   aid : int;  (* array id: index into the program's decl list *)
+  aname : string;  (* for out-of-bounds messages *)
   values : float array;  (* empty outside Full mode *)
   lext : int array;  (* logical extents, for the value index *)
   aext : int array;  (* addressing extents (padding included) *)
@@ -251,6 +252,7 @@ let compile_ref lookup (layout : Partition.layout) aid_of vars (r : Ir.aref) =
   in
   {
     aid = aid_of r.Ir.array;
+    aname = r.Ir.array;
     values;
     lext;
     aext = p.aextents;
@@ -274,8 +276,8 @@ let locate cr (vals : int array) =
     let v = !v in
     if v < 0 || v >= cr.lext.(d) then
       raise
-        (Interp.Out_of_bounds
-           (Printf.sprintf "dim %d index %d not in [0,%d)" d v cr.lext.(d)));
+        (Interp.out_of_bounds ~array:cr.aname ~dim:d ~index:v
+           ~extent:cr.lext.(d));
     vidx := (!vidx * cr.lext.(d)) + v;
     aidx := (!aidx * cr.aext.(d)) + v
   done;
@@ -296,8 +298,8 @@ let locate_addr cr (vals : int array) =
     let v = !v in
     if v < 0 || v >= cr.lext.(d) then
       raise
-        (Interp.Out_of_bounds
-           (Printf.sprintf "dim %d index %d not in [0,%d)" d v cr.lext.(d)));
+        (Interp.out_of_bounds ~array:cr.aname ~dim:d ~index:v
+           ~extent:cr.lext.(d));
     aidx := (!aidx * cr.aext.(d)) + v
   done;
   cr.start + (!aidx * cr.elem_bytes)

@@ -306,7 +306,11 @@ let test_run_compressed_oob () =
   in
   Alcotest.(check string)
     "identical out-of-bounds failure" (msg Exec.Miss_only)
-    (msg Exec.Run_compressed)
+    (msg Exec.Run_compressed);
+  (* the interpreter's wording: array, dimension, index *)
+  Alcotest.(check string)
+    "names the array" (Printf.sprintf "a dim 0 index %d not in [0,%d)" n n)
+    (msg Exec.Miss_only)
 
 (* ------------------------------------------------------------------ *)
 (* Directed tests                                                       *)

@@ -1,14 +1,18 @@
 (* The native execution backend (lf_native) and its measurement
    harness.
 
-   Three obligations:
+   Four obligations:
    - Bench_timer's aggregation policy is pure arithmetic — pinned here
      sample by sample (min over all, outliers out of median/mean,
      malformed policies refused);
    - native execution is bit-identical to the reference interpreter
      for every kernel x schedule variant x domain count the paper
      cares about — direct cases plus a QCheck property with
-     non-divisible strips and peel-heavy sizes;
+     non-divisible strips and peel-heavy sizes — and for bodies whose
+     inner loop carries dependences, which the chunked lowering must
+     keep in point order;
+   - an out-of-range subscript fails with the interpreter's typed
+     error, never an untyped exception or a stranded worker;
    - the measured cost tier verifies before it times, memoises in
      memory only, and the Wallclock search never returns a
      configuration measured slower than the paper default. *)
@@ -157,6 +161,15 @@ let test_native_pool_size_mismatch () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "expected Invalid_argument on pool/nprocs mismatch")
 
+let test_native_buffer_size_mismatch () =
+  (* the chunk loops index buffers unchecked: buffers created for a
+     smaller program are refused before any worker runs *)
+  let sched = Schedule.unfused ~nprocs:2 (fig9 30) in
+  let small = Native.create (fig9 20) in
+  match Native.run_into small sched with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "expected Invalid_argument on undersized buffers"
+
 (* ------------------------------------------------------------------ *)
 (* Bit-identity: QCheck property                                       *)
 
@@ -225,8 +238,13 @@ let prop_native_bit_identical c =
   | exception Derive.Not_applicable _ -> true
   | sched -> (
     match Native.verify sched with
-    | Ok () -> true
-    | Error m -> QCheck.Test.fail_report (ncase_print c ^ ": " ^ m))
+    | Error m -> QCheck.Test.fail_report (ncase_print c ^ ": " ^ m)
+    | Ok () ->
+      (* the direct checksum repeats the interpreter's sum exactly *)
+      let bufs = Native.run sched in
+      Float.equal (Native.checksum bufs)
+        (Interp.checksum (Native.to_store bufs))
+      || QCheck.Test.fail_report (ncase_print c ^ ": checksum differs"))
 
 let native_identity_prop =
   QCheck.Test.make
@@ -234,6 +252,228 @@ let native_identity_prop =
     ~count:40
     (QCheck.make ~print:ncase_print ncase_gen)
     prop_native_bit_identical
+
+(* ------------------------------------------------------------------ *)
+(* Chunked lowering: dependences carried by the inner loop             *)
+
+(* One nest, outer doall i and inner serial j, run unfused on 1 and 2
+   domains.  Every write touches only elements owned by its row i
+   (x[i][..], x[..][i] or s[i]), so the doall stays legal, while the
+   inner loop carries dependences in both directions. *)
+let verify_on_1_and_2 (p : Ir.program) =
+  Ir.validate p;
+  List.fold_left
+    (fun acc procs ->
+      Result.bind acc (fun () ->
+          Result.map_error (Printf.sprintf "P=%d: %s" procs)
+            (Native.verify (Schedule.unfused ~nprocs:procs p))))
+    (Ok ()) [ 1; 2 ]
+
+let assert_point_order name p =
+  match verify_on_1_and_2 p with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s: %s" name m
+
+let loop_nest ~ilo ~ihi ~jlo ~jhi body =
+  {
+    Ir.nid = "carried";
+    levels =
+      [
+        { Ir.lvar = "i"; lo = ilo; hi = ihi; parallel = true };
+        { Ir.lvar = "j"; lo = jlo; hi = jhi; parallel = false };
+      ];
+    body;
+  }
+
+let rec expr_gen depth leaf =
+  QCheck.Gen.(
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (2, leaf);
+          (1, map (fun e -> Ir.Neg e) (expr_gen (depth - 1) leaf));
+          ( 4,
+            let* op = oneofl [ Ir.Add; Ir.Sub; Ir.Mul; Ir.Div ] in
+            let* x = expr_gen (depth - 1) leaf in
+            let* y = expr_gen (depth - 1) leaf in
+            return (Ir.Bin (op, x, y)) );
+        ])
+
+(* Square n x n arrays p, q, t (each walked by rows or by columns), a
+   read-only r read both ways, and s[i]; inner offsets in [-3, 3];
+   some references pinned to a constant column (they do not move with
+   j); some statements guarded. *)
+let square_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 10 40 in
+    let* by_col = array_repeat 3 bool in
+    let names = [| "p"; "q"; "t" |] in
+    let off = int_range (-3) 3 in
+    let sub = Ir.av in
+    let owned k =
+      (* a reference to written array k: it stays in row/column i *)
+      let* pinned = frequencyl [ (4, false); (1, true) ] in
+      let* o = off and* c = int_bound (n - 1) in
+      let inner = if pinned then Ir.ac c else sub ~c:o "j" in
+      return
+        (Ir.aref names.(k)
+           (if by_col.(k) then [ inner; sub "i" ] else [ sub "i"; inner ]))
+    in
+    let s_ref = Ir.aref "s" [ sub "i" ] in
+    let leaf =
+      frequency
+        [
+          (1, map (fun k -> Ir.Const (float_of_int k /. 4.0)) (int_range 1 8));
+          (6, map (fun r -> Ir.Read r) (int_bound 2 >>= owned));
+          ( 2,
+            let* o = off and* oi = off and* flip = bool in
+            let a = sub ~c:o "j" and b = sub ~c:oi "i" in
+            return (Ir.Read (Ir.aref "r" (if flip then [ a; b ] else [ b; a ]))) );
+          (1, return (Ir.Read s_ref));
+        ]
+    in
+    let guard =
+      frequency
+        [
+          (3, return []);
+          ( 1,
+            let* lo = int_range 0 n and* w = int_bound n in
+            let* v = oneofl [ "i"; "j" ] in
+            return [ (v, lo, lo + w) ] );
+        ]
+    in
+    let stmt =
+      let* lhs =
+        frequency [ (6, int_bound 2 >>= owned); (1, return s_ref) ]
+      in
+      let* rhs = expr_gen 3 leaf and* guard = guard in
+      return (Ir.stmt ~guard lhs rhs)
+    in
+    let* body = list_size (int_range 1 4) stmt in
+    let decl a = { Ir.aname = a; extents = [ n; n ] } in
+    return
+      {
+        Ir.pname = "square";
+        decls =
+          List.map decl [ "p"; "q"; "t"; "r" ]
+          @ [ { Ir.aname = "s"; extents = [ n ] } ];
+        nests = [ loop_nest ~ilo:3 ~ihi:(n - 4) ~jlo:3 ~jhi:(n - 4) body ];
+      })
+
+(* 1-D arrays x, y holding one 800-element segment per row i, read at
+   distances on both sides of the 256-point chunk cap. *)
+let segment_case_gen =
+  QCheck.Gen.(
+    let w = 800 in
+    let at a o = Ir.aref a [ Ir.affine ~const:o [ (w, "i"); (1, "j") ] ] in
+    let off =
+      frequency
+        [
+          (2, int_range (-3) 3);
+          ( 3,
+            let* d = int_range 250 262 and* back = bool in
+            return (if back then -d else d) );
+        ]
+    in
+    let name = oneofl [ "x"; "y" ] in
+    let leaf =
+      frequency
+        [
+          (1, return (Ir.Const 0.5));
+          (5, map2 (fun a o -> Ir.Read (at a o)) name off);
+        ]
+    in
+    let stmt =
+      let* a = name and* o = int_range (-3) 3 in
+      let* rhs = expr_gen 2 leaf in
+      return (Ir.stmt (at a o) rhs)
+    in
+    let* body = list_size (int_range 1 3) stmt in
+    return
+      {
+        Ir.pname = "segments";
+        decls =
+          [ { Ir.aname = "x"; extents = [ 2 * w ] };
+            { Ir.aname = "y"; extents = [ 2 * w ] } ];
+        nests = [ loop_nest ~ilo:0 ~ihi:1 ~jlo:270 ~jhi:529 body ];
+      })
+
+let chunk_length_prop =
+  QCheck.Test.make
+    ~name:"chunked lowering keeps point order (carried inner deps, P=1,2)"
+    ~count:150
+    (QCheck.make ~print:Ir.program_to_string
+       QCheck.Gen.(
+         frequency [ (3, square_case_gen); (1, segment_case_gen) ]))
+    (fun p ->
+      match verify_on_1_and_2 p with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_report m)
+
+let rows_program name ~cols body =
+  {
+    Ir.pname = name;
+    decls =
+      List.map
+        (fun a -> { Ir.aname = a; extents = [ 6; cols ] })
+        [ "a"; "b" ];
+    nests = [ loop_nest ~ilo:0 ~ihi:5 ~jlo:1 ~jhi:(cols - 2) body ];
+  }
+
+let test_self_flow_dependence () =
+  (* a[i][j] = b[i][j] + 0.5 * a[i][j-1]: each point reads the
+     previous point's write, over rows several chunk caps long; the read
+     sits below the root, so it runs in a loop of its own *)
+  let open Ir.Dsl in
+  let p =
+    rows_program "scan" ~cols:700
+      [
+        ("a", [ i0 "i"; i0 "j" ])
+        <-: ("b" %. [ i0 "i"; i0 "j" ]) +: (f 0.5 *: ("a" %. [ i0 "i"; i "j" (-1) ]));
+      ]
+  in
+  assert_point_order "self flow dependence" p
+
+let test_cross_statement_backward () =
+  (* the first statement reads a[i][j-1], which the second statement
+     wrote one point earlier *)
+  let open Ir.Dsl in
+  let p =
+    rows_program "back" ~cols:700
+      [
+        ("b", [ i0 "i"; i0 "j" ]) <-: ("a" %. [ i0 "i"; i "j" (-1) ]) *: f 0.5;
+        ("a", [ i0 "i"; i0 "j" ]) <-: ("b" %. [ i0 "i"; i0 "j" ]) +: f 1.0;
+      ]
+  in
+  assert_point_order "cross-statement backward dependence" p
+
+(* ------------------------------------------------------------------ *)
+(* Out-of-range subscripts fail typed                                  *)
+
+let test_out_of_range_typed () =
+  (* at j = 1 the read b[i][j-2] is b[i][-1] *)
+  let open Ir.Dsl in
+  let p =
+    rows_program "oob" ~cols:16
+      [ ("a", [ i0 "i"; i0 "j" ]) <-: ("b" %. [ i0 "i"; i "j" (-2) ]) +: f 1.0 ]
+  in
+  let expected = "b dim 1 index -1 not in [0,16)" in
+  List.iter
+    (fun procs ->
+      let sched = Schedule.unfused ~nprocs:procs p in
+      (match Native.verify sched with
+      | Ok () -> Alcotest.fail "verify accepted an out-of-range read"
+      | Error m ->
+        check bool
+          (Printf.sprintf "P=%d: %S names array, dimension and index" procs m)
+          true
+          (String.ends_with ~suffix:expected m));
+      match Native.run sched with
+      | _ -> Alcotest.fail "run accepted an out-of-range read"
+      | exception Interp.Out_of_bounds m ->
+        Alcotest.(check string) "typed exception" expected m)
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Measured cost tier + Wallclock search                               *)
@@ -338,7 +578,16 @@ let suite =
       test_native_steps_match_interp;
     Alcotest.test_case "pool size mismatch refused" `Quick
       test_native_pool_size_mismatch;
+    Alcotest.test_case "undersized buffers refused" `Quick
+      test_native_buffer_size_mismatch;
     QCheck_alcotest.to_alcotest native_identity_prop;
+    QCheck_alcotest.to_alcotest chunk_length_prop;
+    Alcotest.test_case "chunked: self flow dependence" `Quick
+      test_self_flow_dependence;
+    Alcotest.test_case "chunked: cross-statement backward dependence" `Quick
+      test_cross_statement_backward;
+    Alcotest.test_case "out-of-range subscript fails typed" `Quick
+      test_out_of_range_typed;
     Alcotest.test_case "measured tier: verify, time, memoise" `Quick
       test_measured_tier;
     Alcotest.test_case "measured tier: layout axis is free" `Quick

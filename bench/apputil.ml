@@ -7,6 +7,7 @@
 module Ir = Lf_ir.Ir
 module Apps = Lf_kernels.Apps
 module Exec = Lf_machine.Exec
+module Sim = Lf_machine.Sim
 module Machine = Lf_machine.Machine
 module Partition = Lf_core.Partition
 
@@ -24,10 +25,11 @@ type app_result = { cycles : float; misses : int }
 let run_app ~machine ~nprocs ~variant (app : Apps.t) =
   let run_seq (p : Ir.program) =
     let layout = layout_for variant machine p in
-    if variant.v_fused then
-      let strip = Util.strip_for machine p in
-      Exec.run_fused ~layout ~machine ~nprocs ~strip p
-    else Exec.run_unfused ~layout ~machine ~nprocs p
+    Exec.run_opts Exec.default_opts
+      (if variant.v_fused then
+         let strip = Util.strip_for machine p in
+         Sim.fused ~layout ~machine ~nprocs ~strip p
+       else Sim.unfused ~layout ~machine ~nprocs p)
   in
   let acc_cycles = ref 0.0 and acc_misses = ref 0 in
   List.iter
@@ -40,7 +42,10 @@ let run_app ~machine ~nprocs ~variant (app : Apps.t) =
   | None -> ()
   | Some rem ->
     let layout = layout_for variant machine rem in
-    let r = Exec.run_unfused ~layout ~machine ~nprocs rem in
+    let r =
+      Exec.run_opts Exec.default_opts
+        (Sim.unfused ~layout ~machine ~nprocs rem)
+    in
     let reps = float_of_int app.Apps.remainder_reps in
     acc_cycles := !acc_cycles +. (reps *. r.Exec.cycles);
     acc_misses :=

@@ -13,6 +13,7 @@
 module Ir = Lf_ir.Ir
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
+module Sim = Lf_machine.Sim
 module Partition = Lf_core.Partition
 
 let strip_rule cfg =
@@ -26,7 +27,10 @@ let strip_rule cfg =
   Util.pr "%8s %12s %14s@." "strip" "misses" "cycles";
   List.iter
     (fun strip ->
-      let r = Exec.run_fused ~layout ~machine ~nprocs:8 ~strip p in
+      let r =
+        Exec.run_opts Exec.default_opts
+          (Sim.fused ~layout ~machine ~nprocs:8 ~strip p)
+      in
       Util.pr "%8d %12d %14.4e%s@." strip r.Exec.total_misses r.Exec.cycles
         (if strip = rule then "   <- rule" else ""))
     (List.sort_uniq compare
@@ -41,7 +45,10 @@ let assoc_targets cfg =
   let shape = Util.cache_shape machine in
   let strip = Util.strip_for machine p in
   let run name layout =
-    let r = Exec.run_fused ~layout ~machine ~nprocs:8 ~strip p in
+    let r =
+      Exec.run_opts Exec.default_opts
+        (Sim.fused ~layout ~machine ~nprocs:8 ~strip p)
+    in
     Util.pr "%-34s %12d misses@." name r.Exec.total_misses
   in
   run "assoc-aware targets ((p/a)*sp)"
@@ -65,7 +72,10 @@ let peel_overhead cfg =
   Util.pr "%6s %14s %14s %10s@." "P" "fused-phase" "peeled-phase" "overhead";
   List.iter
     (fun nprocs ->
-      let r = Exec.run_fused ~layout ~machine ~nprocs ~strip p in
+      let r =
+        Exec.run_opts Exec.default_opts
+          (Sim.fused ~layout ~machine ~nprocs ~strip p)
+      in
       let fphase = r.Exec.phase_cycles.(0) in
       let pphase = r.Exec.phase_cycles.(1) in
       Util.pr "%6d %14.4e %14.4e %9.2f%%@." nprocs fphase pphase
@@ -114,8 +124,14 @@ let timestep_amortization cfg =
     "gain";
   List.iter
     (fun steps ->
-      let u = Exec.run_unfused ~layout ~machine ~nprocs ~steps p in
-      let f = Exec.run_fused ~layout ~machine ~nprocs ~strip ~steps p in
+      let u =
+        Exec.run_opts Exec.default_opts
+          (Sim.unfused ~layout ~machine ~nprocs ~steps p)
+      in
+      let f =
+        Exec.run_opts Exec.default_opts
+          (Sim.fused ~layout ~machine ~nprocs ~strip ~steps p)
+      in
       Util.pr "%8d %16.4e %16.4e %+9.1f%%@." steps u.Exec.cycles f.Exec.cycles
         (100.0 *. ((u.Exec.cycles /. f.Exec.cycles) -. 1.0)))
     [ 1; 2; 4; 8 ];
@@ -133,7 +149,10 @@ let tlb_effect cfg =
   Util.pr "%-14s %12s %12s@." "layout" "cache-misses" "tlb-misses";
   List.iter
     (fun (name, layout) ->
-      let r = Exec.run_fused ~layout ~machine ~nprocs:8 ~strip p in
+      let r =
+        Exec.run_opts Exec.default_opts
+          (Sim.fused ~layout ~machine ~nprocs:8 ~strip p)
+      in
       Util.pr "%-14s %12d %12d@." name r.Exec.total_misses r.Exec.tlb_misses)
     [
       ("pad 0", Util.padded_layout ~pad:0 p);
@@ -156,13 +175,16 @@ let wavefront_vs_peeling cfg =
   let p2 = Lf_kernels.Jacobi.program ~n () in
   let d2 = Lf_core.Derive.of_program ~depth:2 p2 in
   let layout2 = Util.partitioned_layout machine p2 in
+  let run layout sched =
+    Exec.run_opts Exec.default_opts (Sim.of_schedule ~layout ~machine sched)
+  in
   let sp2 =
-    Exec.run ~layout:layout2 ~machine
+    run layout2
       (Lf_core.Schedule.fused ~strip:(Util.strip_for machine p2) ~derive:d2
          ~nprocs p2)
   in
   let wf2 =
-    Exec.run ~layout:layout2 ~machine
+    run layout2
       (Lf_core.Wavefront.schedule ~tile:(Util.scale cfg 64 16) ~derive:d2
          ~nprocs p2)
   in
@@ -175,11 +197,11 @@ let wavefront_vs_peeling cfg =
   let p1 = Lf_kernels.Calc.program ~n () in
   let layout1 = Util.partitioned_layout machine p1 in
   let sp1 =
-    Exec.run ~layout:layout1 ~machine
+    run layout1
       (Lf_core.Schedule.fused ~strip:(Util.strip_for machine p1) ~nprocs p1)
   in
   let wf1 =
-    Exec.run ~layout:layout1 ~machine
+    run layout1
       (Lf_core.Wavefront.schedule ~tile:(Util.scale cfg 64 16) ~nprocs p1)
   in
   Util.pr "1-D calc (%dx%d, %d procs):@." n n nprocs;

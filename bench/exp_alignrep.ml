@@ -4,6 +4,7 @@
 module Ir = Lf_ir.Ir
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
+module Sim = Lf_machine.Sim
 module Alignrep = Lf_core.Alignrep
 module Schedule = Lf_core.Schedule
 module Partition = Lf_core.Partition
@@ -12,7 +13,7 @@ let run_alignrep ~machine ~nprocs (r : Alignrep.result) =
   let layout = Util.partitioned_layout machine r.Alignrep.prog in
   let strip = Util.strip_for machine r.Alignrep.prog in
   let sched = Alignrep.schedule ~nprocs ~strip r in
-  Exec.run ~layout ~machine sched
+  Exec.run_opts Exec.default_opts (Sim.of_schedule ~layout ~machine sched)
 
 let compare_machine cfg machine procs =
   let n = Util.scale cfg 512 128 in
@@ -28,12 +29,17 @@ let compare_machine cfg machine procs =
     let layout = Util.partitioned_layout machine p in
     let strip = Util.strip_for machine p in
     let base =
-      (Exec.run_unfused ~layout ~machine ~nprocs:1 p).Exec.cycles
+      (Exec.run_opts Exec.default_opts
+         (Sim.unfused ~layout ~machine ~nprocs:1 p))
+        .Exec.cycles
     in
     let rows =
       List.map
         (fun nprocs ->
-          let f = Exec.run_fused ~layout ~machine ~nprocs ~strip p in
+          let f =
+            Exec.run_opts Exec.default_opts
+              (Sim.fused ~layout ~machine ~nprocs ~strip p)
+          in
           let a = run_alignrep ~machine ~nprocs r in
           (nprocs, [ base /. f.Exec.cycles; base /. a.Exec.cycles ]))
         procs

@@ -41,17 +41,20 @@ let run cfg =
   let strip = Util.strip_for machine p in
   let jobs = max 4 (Exec.default_jobs ()) in
   let host = Domain.recommended_domain_count () in
-  (* routed through the batch layer with computation forced ([always]):
-     this experiment measures engine wall clock, so a store hit would
-     measure nothing — but fresh results still warm the store *)
+  (* routed through the batch layer with computation forced (a cold
+     policy): this experiment measures engine wall clock, so a store hit
+     would measure nothing — but fresh results still warm the store *)
   let go ~mode ~jobs () =
-    Util.run_request ~always:true ~jobs
+    Lf_batch.Batch.run_one_with
+      Lf_batch.Run_opts.(cold (with_jobs jobs !Util.opts))
       (Lf_machine.Sim.fused ~layout ~machine ~nprocs ~strip ~steps ~mode p)
   in
   (* warm up allocator/caches, then measure the serial engines before
      any host domain is spawned (idle pool domains tax the single-domain
      GC), and the parallel engines after *)
-  ignore (Exec.run_fused ~layout ~machine ~nprocs ~strip ~jobs:1 p);
+  ignore
+    (Exec.run_opts (Exec.opts ~jobs:1 ())
+       (Lf_machine.Sim.fused ~layout ~machine ~nprocs ~strip p));
   let serial_full, t_sf = time (go ~mode:Exec.Full ~jobs:1) in
   let serial_miss, t_sm = time (go ~mode:Exec.Miss_only ~jobs:1) in
   let serial_runs, t_sr = time (go ~mode:Exec.Run_compressed ~jobs:1) in

@@ -20,7 +20,7 @@ let sweep ?note ~machine ~procs (p : Ir.program) =
   let strip = Util.strip_for machine p in
   (* only cycles and miss counts are read below, so the run-compressed
      address-stream engine (bit-identical observables) does the work;
-     the whole sweep is one Batch.run request list, answered from a
+     the whole sweep is one Batch.run_with request list, answered from a
      warm result store without simulating *)
   let mode = Lf_machine.Sim.Run_compressed in
   let requests =

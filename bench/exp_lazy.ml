@@ -23,7 +23,6 @@
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
 module Batch = Lf_batch.Batch
-module Run_opts = Lf_batch.Run_opts
 module Native = Lf_native.Native
 module Bench_timer = Lf_native.Bench_timer
 module Plan = Lf_lazy.Plan
@@ -32,14 +31,6 @@ module Trace = Lf_lazy.Trace
 
 let nprocs = 4
 let strip = 16
-
-(* the bench store knobs (--cold / --no-store) lowered onto the
-   unified options bundle the lazy evaluator takes *)
-let opts () =
-  let t = Run_opts.default in
-  if not !Util.use_store then Run_opts.(with_store Store_off t)
-  else if !Util.cold then Run_opts.cold t
-  else t
 
 let policy cfg =
   if cfg.Util.quick then
@@ -71,7 +62,9 @@ let envs_bit_identical (a : Eval.env) (b : Eval.env) =
        a true
 
 let sim_totals plan =
-  let outcomes, _ = Eval.simulate ~opts:(opts ()) ~machine:Machine.convex plan in
+  let outcomes, _ =
+    Eval.simulate ~opts:!Util.opts ~machine:Machine.convex plan
+  in
   Array.fold_left
     (fun (cy, ms) (o : Batch.outcome) ->
       match o.Batch.result with

@@ -40,7 +40,8 @@ let profile_layout ~machine ~strip p (tag, mk_layout, _spec) =
      sinked request always computes (a store replay cannot populate
      the sink) but persists its result for sink-less reuse. *)
   let r =
-    Util.run_request ~sink
+    Lf_batch.Batch.run_one_with
+      (Lf_batch.Run_opts.with_sink sink !Util.opts)
       (Lf_machine.Sim.fused ~mode:Lf_machine.Sim.Run_compressed
          ~layout:(mk_layout p) ~machine ~nprocs ~strip p)
   in

@@ -20,8 +20,8 @@ let run_padding_sweep cfg machine =
   Util.pr "%8s  %18s  %18s@." "padding" "no fusion (proc0)" "fusion (proc0)";
   (* the sweep only reads miss counts, never the store: use the
      address-stream fast path (bit-identical counters, no FP work).
-     The whole sweep goes through Batch.run as one request list, so a
-     warm result store answers it without simulating. *)
+     The whole sweep goes through Batch.run_with as one request list,
+     so a warm result store answers it without simulating. *)
   let mode = Sim.Run_compressed in
   let pair layout =
     [

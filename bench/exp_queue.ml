@@ -142,10 +142,13 @@ let run (cfg : Util.cfg) =
   Sim.Fingerprint.clear_overrides ();
   (* serial baseline: fresh store, inline jobs=1, no domains *)
   Exec.release_shared_pool ();
-  let serial_dir = temp_dir "serial" in
-  let serial_store = Batch.Store.open_ ~dir:serial_dir () in
+  let serial =
+    Lf_batch.Run_opts.(
+      make ~jobs:1 ~store:(Store_in (Some (temp_dir "serial"))) ())
+  in
+  let serial_store = Option.get (Batch.store_of_opts serial) in
   let t0 = Unix.gettimeofday () in
-  let _outcomes, summary = Batch.run ~store:serial_store ~jobs:1 mix in
+  let _outcomes, summary = Batch.run_with serial mix in
   let serial_wall = Unix.gettimeofday () -. t0 in
   Util.pr "serial baseline: %a@." Batch.pp_summary summary;
   let baseline =

@@ -26,9 +26,9 @@ let time f =
 (* One workload: run scalar and run-compressed, check bit-identity,
    report the wall-clock ratio.  Returns false on mismatch. *)
 let check ~label ~machine ~layout ~strip ~nprocs p =
-  (* both engine tiers go through Batch.run; on a warm store the whole
-     tier is answered from persisted results and the identity check
-     exercises the store's bit-exact round trip instead *)
+  (* both engine tiers go through Batch.run_with; on a warm store the
+     whole tier is answered from persisted results and the identity
+     check exercises the store's bit-exact round trip instead *)
   let go mode () =
     match
       Util.run_requests

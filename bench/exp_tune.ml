@@ -90,7 +90,10 @@ let app_rows ~cache cfg name (app : Apps.t) =
               | None -> 0.0
               | Some rem ->
                 let layout = Util.partitioned_layout machine rem in
-                let r = Exec.run_unfused ~layout ~machine ~nprocs rem in
+                let r =
+                  Exec.run_opts Exec.default_opts
+                    (Lf_machine.Sim.unfused ~layout ~machine ~nprocs rem)
+                in
                 float_of_int app.Apps.remainder_reps *. r.Exec.cycles
             in
             let retuned =

@@ -95,10 +95,10 @@ let () =
       parse rest
     | "--cold" :: rest ->
       (* recompute everything; fresh results still warm the store *)
-      Util.cold := true;
+      Util.opts := Lf_batch.Run_opts.cold !Util.opts;
       parse rest
     | "--no-store" :: rest ->
-      Util.use_store := false;
+      Util.opts := Lf_batch.Run_opts.without_store !Util.opts;
       parse rest
     | "--require-warm" :: rest ->
       require_warm := true;

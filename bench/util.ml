@@ -6,38 +6,24 @@ module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
 module Sim = Lf_machine.Sim
 module Batch = Lf_batch.Batch
+module Run_opts = Lf_batch.Run_opts
 module Cache = Lf_cache.Cache
 
 type cfg = { quick : bool; procs_cap : int option }
 
 (* ------------------------------------------------------------------ *)
-(* Persistent result store (bench --cold / --no-store).  The handle is
-   opened lazily so experiments that never simulate (t2, f9 golden
-   runs) create no _lf_cache/ directory. *)
+(* Result-store policy of every batch-routed experiment (bench --cold /
+   --no-store).  The batch layer opens the store on first use, so
+   experiments that never simulate (t2, f9 golden runs) create no
+   _lf_cache/ directory. *)
 
-let use_store = ref true
-let cold = ref false
-let store_handle = ref None
+let opts = ref Run_opts.default
 
-let store () =
-  if not !use_store then None
-  else begin
-    (match !store_handle with
-    | None -> store_handle := Some (Batch.Store.open_ ())
-    | Some _ -> ());
-    !store_handle
-  end
-
-(* One request through the store.  [always] forces computation (wall-
-   clock experiments measure the engine, not the store); a [sink]ed
-   request computes regardless (Batch.run_one's contract). *)
-let run_request ?sink ?(always = false) ?jobs req =
-  Batch.run_one ?store:(store ()) ~cold:(!cold || always) ?sink ?jobs req
-
-(* A request list through Batch.run: dedup, store hits, misses sharded
-   across host domains; first failure re-raised in request order. *)
+(* A request list through Batch.run_with: dedup, store hits, misses
+   sharded across host domains; first failure re-raised in request
+   order. *)
 let run_requests reqs =
-  let outcomes, _summary = Batch.run ?store:(store ()) ~cold:!cold reqs in
+  let outcomes, _summary = Batch.run_with !opts reqs in
   Batch.results_exn outcomes
 
 let scale cfg full quick_v = if cfg.quick then quick_v else full
@@ -163,7 +149,8 @@ let write_json ~file ~jobs =
        (Domain.recommended_domain_count ()));
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   Buffer.add_string buf
-    (Printf.sprintf "  \"store\": %b,\n  \"cold\": %b,\n" !use_store !cold);
+    (Printf.sprintf "  \"store\": %b,\n  \"cold\": %b,\n"
+       (Run_opts.store_enabled !opts) (Run_opts.is_cold !opts));
   Buffer.add_string buf
     (Printf.sprintf "  \"store_hits\": %d,\n  \"store_computed\": %d,\n"
        (Batch.hit_count ()) (Batch.computed_count ()));

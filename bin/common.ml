@@ -172,15 +172,10 @@ let machine_of = function
 
 let apply_jobs = function
   | None -> Ok ()
-  | Some ("auto" | "0") ->
-    Exec.set_default_jobs (Domain.recommended_domain_count ());
-    Ok ()
   | Some s -> (
-    match int_of_string_opt s with
-    | Some j when j >= 1 ->
-      Exec.set_default_jobs j;
-      Ok ()
-    | _ -> Error ("bad --jobs value " ^ s ^ " (want a positive int or auto)"))
+    match Exec.jobs_of_string s with
+    | Ok j -> Ok (Exec.set_default_jobs j)
+    | Error e -> Error ("bad --jobs value " ^ e))
 
 let mode_of s =
   match Sim.mode_of_string s with
@@ -234,13 +229,13 @@ let apply_fingerprints specs =
 module Run_opts = Lf_batch.Run_opts
 
 (* The one options bundle every execution subcommand (simulate, run,
-   tune, profile, sweep, trace) shares: --jobs/--engine/--cold/
-   --store-dir/--timeout lowered onto a Run_opts.t, environment
-   defaults (LF_ENGINE, LF_STORE, LF_COLD, LF_TIMEOUT_S) applied
-   first so explicit flags win.  --jobs is applied as a side effect
-   through Exec.set_default_jobs — the options' [jobs] field stays
-   [None] so every consumer (batch, serve, queue, bench) keeps
-   deferring to the same source of truth. *)
+   tune, profile, sweep, trace, transform, pipeline) shares: --jobs/
+   --engine/--cold/--store-dir/--timeout lowered onto a Run_opts.t,
+   environment defaults (LF_ENGINE, LF_STORE, LF_COLD, LF_TIMEOUT_S;
+   LF_JOBS validated) applied first so explicit flags win.  --jobs is
+   applied as a side effect through Exec.set_default_jobs — the
+   options' [jobs] field stays [None] so every consumer (batch, serve,
+   queue, bench) keeps deferring to the same source of truth. *)
 
 let engine_opt_arg =
   let doc =

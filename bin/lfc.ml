@@ -697,8 +697,13 @@ let tune_app ~driver ~objective ?store ~machine ~nprocs (app : Apps.t) =
               ~cache:(Lf_tune.Space.cache_shape machine)
               rem.Ir.decls
           in
+          let policy =
+            match store with
+            | None -> Run_opts.Store_off
+            | Some st -> Run_opts.Store_in (Some (Batch.Store.dir st))
+          in
           let r =
-            Batch.run_one ?store
+            Batch.run_one_with (Run_opts.make ~store:policy ())
               (Sim.unfused ~layout ~mode:Sim.Run_compressed ~machine ~nprocs
                  rem)
           in
@@ -883,7 +888,8 @@ let profile_cmd =
 
 (* --- pipeline ------------------------------------------------------ *)
 
-let pipeline kernel n procs strip =
+let pipeline kernel n procs strip opts_result =
+  with_run_opts opts_result @@ fun opts ->
   with_program kernel n (fun p ->
       let module Distribute = Lf_core.Distribute in
       let module Cluster = Lf_core.Cluster in
@@ -907,8 +913,8 @@ let pipeline kernel n procs strip =
         (if ok then "bit-identical to the serial reference" else "MISMATCH");
       (* an Explicit request: arbitrary prebuilt schedules are cacheable *)
       let r =
-        Batch.run_one ~store:(store_of None)
-          (Sim.of_schedule ~mode:Sim.Run_compressed ~machine:Machine.convex
+        Batch.run_one_with opts
+          (Sim.of_schedule ~mode:opts.Run_opts.engine ~machine:Machine.convex
              sched)
       in
       Fmt.pr "simulated on %s: %.4e cycles, %d misses@."
@@ -919,7 +925,10 @@ let pipeline_cmd =
   Cmd.v
     (Cmd.info "pipeline"
        ~doc:"Distribute, cluster, fuse and verify a whole sequence")
-    Term.(ret (const pipeline $ kernel_arg $ size_arg $ procs_arg $ strip_arg))
+    Term.(
+      ret
+        (const pipeline $ kernel_arg $ size_arg $ procs_arg $ strip_arg
+       $ run_opts_term))
 
 (* --- transform ------------------------------------------------------ *)
 
@@ -953,20 +962,15 @@ let simulate_flag_arg =
   Arg.(value & flag & info [ "simulate" ] ~doc)
 
 let transform kernel n script_path ck_dir emit_form simulate_ machine_name
-    procs jobs engine store_dir =
+    procs opts_result =
   let module Script = Lf_script.Script in
   let module Realize = Lf_script.Realize in
   let module Lft = Lf_front.Lft in
+  with_run_opts opts_result @@ fun opts ->
   with_program kernel n (fun p ->
-      match apply_jobs jobs with
-      | Error m -> `Error (false, m)
-      | Ok () -> (
       match machine_of machine_name with
       | Error m -> `Error (false, m)
       | Ok machine -> (
-        match mode_of engine with
-        | Error m -> `Error (false, m)
-        | Ok mode -> (
           match Lft.parse_file script_path with
           | exception Sys_error m -> `Error (false, m)
           | exception (Lft.Error _ as e) ->
@@ -1042,7 +1046,8 @@ let transform kernel n script_path ck_dir emit_form simulate_ machine_name
                   if not simulate_ then `Ok ()
                   else begin
                     match
-                      Realize.request ~mode ~machine ~nprocs:procs st
+                      Realize.request ~mode:opts.Run_opts.engine ~machine
+                        ~nprocs:procs st
                     with
                     | exception Schedule.Illegal m ->
                       `Error (false, "scripted schedule is illegal here: " ^ m)
@@ -1053,7 +1058,7 @@ let transform kernel n script_path ck_dir emit_form simulate_ machine_name
                             "scripted schedule violates the Theorem 1 \
                              threshold for this size/processor count" )
                       else begin
-                        let r = Batch.run_one ~store:(store_of store_dir) req in
+                        let r = Batch.run_one_with opts req in
                         Fmt.pr
                           "simulated on %s, %d processors: %.4e cycles \
                            (barrier %.4e), %d misses@."
@@ -1062,7 +1067,7 @@ let transform kernel n script_path ck_dir emit_form simulate_ machine_name
                         `Ok ()
                       end
                   end
-              end)))))
+              end)))
 
 let transform_cmd =
   Cmd.v
@@ -1076,7 +1081,7 @@ let transform_cmd =
       ret
         (const transform $ kernel_arg $ size_arg $ script_arg
        $ checkpoint_dir_arg $ emit_form_arg $ simulate_flag_arg $ machine_arg
-       $ procs_arg $ jobs_arg $ engine_arg $ store_dir_arg))
+       $ procs_arg $ run_opts_term))
 
 (* --- serve / request ----------------------------------------------- *)
 

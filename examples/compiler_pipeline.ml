@@ -97,7 +97,8 @@ let () =
 
   (* 5. Simulate on the Convex model. *)
   let r =
-    Exec.run_request (Lf_machine.Sim.of_schedule ~machine:Machine.convex sched)
+    Exec.run_opts Exec.default_opts
+      (Lf_machine.Sim.of_schedule ~machine:Machine.convex sched)
   in
   Fmt.pr "Simulated on %s: %.3e cycles, %d misses@."
     Machine.convex.Machine.mname r.Exec.cycles r.Exec.total_misses;

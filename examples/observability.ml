@@ -27,7 +27,7 @@ let () =
   let sink = Obs.create ~layout:"contiguous" () in
   let layout = Lf_core.Partition.contiguous p.Ir.decls in
   let r =
-    Exec.run_request ~sink
+    Exec.run_opts (Exec.opts ~sink ())
       (Lf_machine.Sim.fused ~layout ~machine ~nprocs ~strip p)
   in
   Fmt.pr "contiguous layout: %.3e cycles, %d misses@.@." r.Exec.cycles
@@ -66,7 +66,7 @@ let () =
       p.Ir.decls
   in
   let pr =
-    Exec.run_request ~sink:psink
+    Exec.run_opts (Exec.opts ~sink:psink ())
       (Lf_machine.Sim.fused ~layout:playout ~machine ~nprocs ~strip p)
   in
   let t = Obs.totals sink and pt = Obs.totals psink in

@@ -45,7 +45,9 @@ let () =
            ])
          procs
   in
-  let outcomes, _ = Batch.run requests in
+  let outcomes, _ =
+    Batch.run_with Lf_batch.Run_opts.(without_store default) requests
+  in
   let results = Batch.results_exn outcomes in
   let base = results.(0).Exec.cycles in
   Fmt.pr "@.Simulated %s, cache-partitioned layout:@." machine.Machine.mname;

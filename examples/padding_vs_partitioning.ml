@@ -35,7 +35,11 @@ let () =
          [ 1; 3; 5; 9; 15; 19 ]
     @ [ ("cache partitioning", part) ]
   in
-  let outcomes, _ = Batch.run (List.map (fun (_, l) -> request l) layouts) in
+  let outcomes, _ =
+    Batch.run_with
+      Lf_batch.Run_opts.(without_store default)
+      (List.map (fun (_, l) -> request l) layouts)
+  in
   let results = Batch.results_exn outcomes in
   Fmt.pr "%-22s %12s %12s@." "layout" "misses" "cycles";
   List.iteri

@@ -73,7 +73,7 @@ let () =
      batch layer (persistent store, engine tiers, domains). *)
   let req = Realize.request ~machine:Machine.convex ~nprocs:4 st in
   assert (Sim.legal req);
-  let r = Batch.run_one ~store:(Batch.Store.open_ ()) req in
+  let r = Batch.run_one_with Lf_batch.Run_opts.default req in
   Fmt.pr "simulated on %s: %.4e cycles, %d misses@."
     Machine.convex.Machine.mname r.Lf_machine.Exec.cycles
     r.Lf_machine.Exec.total_misses

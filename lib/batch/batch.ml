@@ -372,9 +372,34 @@ let try_store ?scope st req =
       Some res
   | None -> None
 
-let compute_one ?store ?scope ~jobs ?pool ?timeout_s req =
+(* One memoised handle per resolved store root, so every consumer of
+   the same Run_opts policy (CLI, serve workers, tests) shares a handle
+   and its lookup/hit stats.  Policies name roots, never handles. *)
+let handles : (string, Store.t) Hashtbl.t = Hashtbl.create 4
+let handles_mu = Mutex.create ()
+
+let store_of_opts (o : Run_opts.t) =
+  match o.Run_opts.store with
+  | Run_opts.Store_off -> None
+  | Store_in dir | Store_cold dir ->
+      let root =
+        match dir with Some d -> d | None -> Store.default_dir ()
+      in
+      Mutex.lock handles_mu;
+      let st =
+        match Hashtbl.find_opt handles root with
+        | Some st -> st
+        | None ->
+            let st = Store.open_ ~dir:root () in
+            Hashtbl.add handles root st;
+            st
+      in
+      Mutex.unlock handles_mu;
+      Some st
+
+let compute_one ?store ?scope ?timeout_s req =
   let t0 = Unix.gettimeofday () in
-  match Exec.run_request ~jobs ?pool req with
+  match Exec.run_opts (Exec.opts ~jobs:1 ()) req with
   | exception e -> (Error (Crashed (Printexc.to_string e)), Unix.gettimeofday () -. t0)
   | res -> (
       let dt = Unix.gettimeofday () -. t0 in
@@ -385,8 +410,10 @@ let compute_one ?store ?scope ~jobs ?pool ?timeout_s req =
           note_computed scope;
           (Ok res, dt))
 
-let run ?store ?(cold = false) ?jobs ?pool ?timeout_s ?sink ?scope requests =
+let run_with ?pool ?scope (o : Run_opts.t) requests =
   let t0 = Unix.gettimeofday () in
+  let store = store_of_opts o and cold = Run_opts.is_cold o in
+  let sink = o.Run_opts.sink and timeout_s = o.Run_opts.timeout_s in
   let reqs = Array.of_list requests in
   let n = Array.length reqs in
   let digests = Array.map Sim.digest reqs in
@@ -426,11 +453,10 @@ let run ?store ?(cold = false) ?jobs ?pool ?timeout_s ?sink ?scope requests =
   let job k =
     let i = to_compute.(k) in
     (* inner runs stay serial: the batch layer owns the host domains *)
-    let r, dt = compute_one ?store ?scope ~jobs:1 ?timeout_s reqs.(i) in
+    let r, dt = compute_one ?store ?scope ?timeout_s reqs.(i) in
     results.(i) <- Some (r, false, dt)
   in
-  let jobs = match jobs with Some j -> max 1 j | None -> Exec.default_jobs () in
-  let jobs = min jobs m in
+  let jobs = min (Run_opts.jobs_or_default o) m in
   (if m > 0 then
      if jobs <= 1 then
        for k = 0 to m - 1 do job k done
@@ -490,66 +516,29 @@ let results_exn outcomes =
           Fmt.failwith "batch: request %s failed: %s" o.rdigest msg)
     outcomes
 
-let run_one ?store ?(cold = false) ?jobs ?pool ?sink ?scope req =
-  match sink with
+let run_one_with ?pool ?scope (o : Run_opts.t) req =
+  let store = store_of_opts o in
+  let compute () =
+    let res = Exec.run_opts (Run_opts.exec ?pool o) req in
+    note_computed scope;
+    Option.iter (fun st -> ignore (Store.add st req res)) store;
+    res
+  in
+  match o.Run_opts.sink with
   | Some _ ->
       (* an instrumented run always computes: a replayed result cannot
          populate the sink.  Persist it for future sink-less hits. *)
-      let res = Exec.run_request ?jobs ?pool ?sink req in
-      note_computed scope;
-      Option.iter (fun st -> ignore (Store.add st req res)) store;
-      res
+      compute ()
   | None -> (
       let hit =
-        if cold then None
+        if Run_opts.is_cold o then None
         else Option.bind store (fun st -> Store.lookup st req)
       in
       match hit with
       | Some res ->
           note_hit scope;
           res
-      | None ->
-          let res = Exec.run_request ?jobs ?pool req in
-          note_computed scope;
-          Option.iter (fun st -> ignore (Store.add st req res)) store;
-          res)
-
-(* One memoised handle per resolved store root, so every consumer of
-   the same Run_opts policy (CLI, serve workers, tests) shares a handle
-   and its lookup/hit stats.  Policies name roots, never handles. *)
-let handles : (string, Store.t) Hashtbl.t = Hashtbl.create 4
-let handles_mu = Mutex.create ()
-
-let store_of_opts (o : Run_opts.t) =
-  match o.Run_opts.store with
-  | Run_opts.Store_off -> None
-  | Store_in dir | Store_cold dir ->
-      let root =
-        match dir with Some d -> d | None -> Store.default_dir ()
-      in
-      Mutex.lock handles_mu;
-      let st =
-        match Hashtbl.find_opt handles root with
-        | Some st -> st
-        | None ->
-            let st = Store.open_ ~dir:root () in
-            Hashtbl.add handles root st;
-            st
-      in
-      Mutex.unlock handles_mu;
-      Some st
-
-let run_with ?pool ?scope (o : Run_opts.t) requests =
-  run
-    ?store:(store_of_opts o)
-    ~cold:(Run_opts.is_cold o) ?jobs:o.Run_opts.jobs ?pool
-    ?timeout_s:o.Run_opts.timeout_s ?sink:o.Run_opts.sink ?scope requests
-
-let run_one_with ?pool ?scope (o : Run_opts.t) req =
-  run_one
-    ?store:(store_of_opts o)
-    ~cold:(Run_opts.is_cold o) ?jobs:o.Run_opts.jobs ?pool
-    ?sink:o.Run_opts.sink ?scope req
+      | None -> compute ())
 
 let pp_summary ppf s =
   Fmt.pf ppf "%d request%s (%d unique): %d hit%s, %d computed%s in %.2fs"

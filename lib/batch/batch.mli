@@ -8,7 +8,7 @@
 
     - {!Store}: an on-disk map from request digest to serialised
       {!Lf_machine.Exec.result}, shared by concurrent processes;
-    - {!run}: a batch orchestrator that dedups a request list by
+    - {!run_with}: a batch orchestrator that dedups a request list by
       digest, answers hits from the store, and shards the misses across
       host domains.
 
@@ -120,10 +120,10 @@ end
     useless for per-client accounting in a long-running daemon: every
     connection's traffic lands in the same two integers.  A
     {!Counters.scope} is an independent, resettable hit/computed pair
-    that {!run}, {!run_one} and {!try_store} bump {e in addition to}
-    the process-wide view when one is passed — [lfc serve] keeps one
-    scope per client connection and reports it in that connection's
-    stats. *)
+    that {!run_with}, {!run_one_with} and {!try_store} bump {e in
+    addition to} the process-wide view when one is passed — [lfc
+    serve] keeps one scope per client connection and reports it in
+    that connection's stats. *)
 
 module Counters : sig
   type scope
@@ -165,52 +165,20 @@ val run_with :
   Run_opts.t ->
   Sim.request list ->
   outcome array * summary
-(** The primary batch entry point: {!run} with the policy knobs
-    carried by one {!Run_opts.t} — engine choices are already inside
-    the requests; jobs, store policy (root + cold), timeout and sink
-    come from the options.  [pool] and [scope] are live host resources
-    and are passed alongside (see run_opts.mli).  Bit-identical to the
-    equivalent legacy {!run} call by construction
-    (test/test_run_opts.ml pins it). *)
+(** Execute a batch under one {!Run_opts.t}: engine choices are
+    already inside the requests; jobs, store policy (root + cold),
+    timeout and sink come from the options.  [pool] and [scope] are
+    live host resources and are passed alongside (see run_opts.mli).
 
-val run_one_with :
-  ?pool:Lf_parallel.Pool.t ->
-  ?scope:Counters.scope ->
-  Run_opts.t ->
-  Sim.request ->
-  Exec.result
-(** {!run_one} under a {!Run_opts.t}: store policy, jobs and sink from
-    the options.  [timeout_s] does not apply — a single synchronous
-    run has no batch to report a timeout into. *)
-
-val store_of_opts : Run_opts.t -> Store.t option
-(** The store handle a policy names: [None] for {!Run_opts.Store_off},
-    else a handle memoised per resolved root so every consumer of the
-    same policy shares one handle (and its {!Store.stats}). *)
-
-val run :
-  ?store:Store.t ->
-  ?cold:bool ->
-  ?jobs:int ->
-  ?pool:Lf_parallel.Pool.t ->
-  ?timeout_s:float ->
-  ?sink:Lf_obs.Obs.sink ->
-  ?scope:Counters.scope ->
-  Sim.request list ->
-  outcome array * summary
-(** {!run_with} with the options spelled as optional arguments — the
-    historical surface, deprecated in favour of {!Run_opts.t} but kept
-    bit-identical (both forms drive the same core).
-
-    Execute a batch.  The requests are deduplicated by digest (repeats
-    share the representative's outcome); with a [store], hits are
-    answered without simulating unless [cold] (default [false]) forces
-    recomputation — computed results are persisted either way, so a
-    cold run warms the store.  Misses are sharded across up to [jobs]
-    (default {!Lf_machine.Exec.default_jobs}) host domains with
-    self-scheduling ([pool] supplies an existing domain pool to run
-    on); each simulation inside the batch runs on its worker domain
-    alone, so results remain bit-identical to a serial batch.
+    The requests are deduplicated by digest (repeats share the
+    representative's outcome); with a store, hits are answered without
+    simulating unless the policy is cold ({!Run_opts.Store_cold}),
+    which forces recomputation — computed results are persisted either
+    way, so a cold run warms the store.  Misses are sharded across up
+    to {!Run_opts.jobs_or_default} host domains with self-scheduling
+    ([pool] supplies an existing domain pool to run on); each
+    simulation inside the batch runs on its worker domain alone, so
+    results remain bit-identical to a serial batch.
 
     [timeout_s] is a per-job wall-clock budget: a simulation that
     exceeds it is reported as {!Timed_out} and its result is neither
@@ -221,35 +189,41 @@ val run :
     after the join — the error-propagation contract of
     {!Lf_parallel.Pool.run}, lifted to batches.
 
-    [sink] receives progress as named counters ([batch.requests],
-    [batch.hit], [batch.computed], [batch.failed]); it is {e not}
-    attached to the individual simulations (see the cache-key
-    discipline above — use {!run_one} for an instrumented run). *)
+    The options' [sink] receives progress as named counters
+    ([batch.requests], [batch.hit], [batch.computed], [batch.failed]);
+    it is {e not} attached to the individual simulations (see the
+    cache-key discipline above — use {!run_one_with} for an
+    instrumented run). *)
 
 val results_exn : outcome array -> Exec.result array
 (** The batch's results, raising [Failure] on the first (in request
     order) timeout or crash. *)
 
-val run_one :
-  ?store:Store.t ->
-  ?cold:bool ->
-  ?jobs:int ->
+val run_one_with :
   ?pool:Lf_parallel.Pool.t ->
-  ?sink:Lf_obs.Obs.sink ->
   ?scope:Counters.scope ->
-  Sim.request -> Exec.result
-(** One request through the store: answered from it when possible
-    ([cold] forces computation), computed with
-    {!Lf_machine.Exec.run_request} ?jobs ?pool and persisted otherwise.
-    Unlike {!run}, [sink] here {e is} the per-run attribution sink: when
-    one is supplied the request is always computed (a replay cannot
-    populate a sink), and the fresh result is still persisted. *)
+  Run_opts.t ->
+  Sim.request ->
+  Exec.result
+(** One request through the store the options name: answered from it
+    when possible (a cold policy forces computation), computed with
+    {!Lf_machine.Exec.run_opts} under the options' jobs and [pool] and
+    persisted otherwise.  Unlike {!run_with}, the options' [sink] here
+    {e is} the per-run attribution sink: when one is supplied the
+    request is always computed (a replay cannot populate a sink), and
+    the fresh result is still persisted.  [timeout_s] does not apply —
+    a single synchronous run has no batch to report a timeout into. *)
+
+val store_of_opts : Run_opts.t -> Store.t option
+(** The store handle a policy names: [None] for {!Run_opts.Store_off},
+    else a handle memoised per resolved root so every consumer of the
+    same policy shares one handle (and its {!Store.stats}). *)
 
 val hit_count : unit -> int
 val computed_count : unit -> int
 (** Process-wide counters of store hits and computed simulations by
-    {!run}/{!run_one}/{!try_store}, for hit/miss reporting in
-    harnesses. *)
+    {!run_with}/{!run_one_with}/{!try_store}, for hit/miss reporting
+    in harnesses. *)
 
 val try_store :
   ?scope:Counters.scope -> Store.t -> Sim.request -> Exec.result option

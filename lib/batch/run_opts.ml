@@ -74,6 +74,15 @@ let of_env ?(base = default) () =
             Error
               (Printf.sprintf "LF_TIMEOUT_S=%s: expected positive seconds" s))
   in
+  (* validation only: the value itself flows through Exec.default_jobs *)
+  let* () =
+    match Sys.getenv_opt "LF_JOBS" with
+    | None | Some "" -> Ok ()
+    | Some s -> (
+        match Exec.jobs_of_string s with
+        | Ok _ -> Ok ()
+        | Error e -> Error ("LF_JOBS=" ^ e))
+  in
   let* store =
     match Sys.getenv_opt "LF_STORE" with
     | None | Some "" -> Ok base.store

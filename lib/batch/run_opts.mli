@@ -1,13 +1,9 @@
 (** The unified request-options record.
 
-    Nine PRs of growth left execution options scattered as drifting
-    optional-argument sets: [?mode] on the [Sim] builders, [?engine] on
-    the CLI, [?jobs ?pool ?sink] on {!Lf_machine.Exec}, [?store ?cold
-    ?timeout_s ?scope] on {!Batch}, and hand-rolled subsets in serve,
-    queue and bench.  [Run_opts.t] names the {e policy} half of that
-    surface once: which engine tier simulates, how many host domains,
-    whether and where results persist, the per-job time budget, and an
-    optional attribution sink.
+    [Run_opts.t] names the {e policy} half of the execution options
+    once: which engine tier simulates, how many host domains, whether
+    and where results persist, the per-job time budget, and an optional
+    attribution sink.
 
     Two kinds of knob deliberately stay out:
 
@@ -106,11 +102,12 @@ val of_env : ?base:t -> unit -> (t, string) Stdlib.result
     [LF_ENGINE] (["full"]/["miss-only"]/["runs"]), [LF_COLD] (["1"] or
     ["true"] makes the store policy cold), [LF_STORE] (["off"]
     disables persistence), [LF_TIMEOUT_S] (float seconds).  [LF_JOBS]
-    is {e not} read here — it already feeds
-    {!Lf_machine.Exec.default_jobs}, which {!jobs_or_default} consults,
-    so reading it twice would create two sources of truth.  The store
-    root likewise stays [None]: [$LF_CACHE_DIR] flows through
-    {!Batch.Store.default_dir}.  A malformed value is an [Error] naming
-    the variable, never a silent fallback. *)
+    is only {e validated} here ({!Lf_machine.Exec.jobs_of_string}): its
+    value already feeds {!Lf_machine.Exec.default_jobs}, which
+    {!jobs_or_default} consults, so the [jobs] field stays [base]'s —
+    one source of truth.  The store root likewise stays [None]:
+    [$LF_CACHE_DIR] flows through {!Batch.Store.default_dir}.  A
+    malformed value is an [Error] naming the variable, never a silent
+    fallback. *)
 
 val pp : Format.formatter -> t -> unit

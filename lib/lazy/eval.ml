@@ -1,8 +1,6 @@
 module Ir = Lf_ir.Ir
 module Interp = Lf_ir.Interp
 module Schedule = Lf_core.Schedule
-module Sim = Lf_machine.Sim
-module Exec = Lf_machine.Exec
 module Batch = Lf_batch.Batch
 module Run_opts = Lf_batch.Run_opts
 
@@ -53,27 +51,6 @@ let advance env (b : Plan.block) =
 let materialise (plan : Plan.t) : env =
   let env = env_create () in
   List.iter (advance env) plan.Plan.blocks;
-  env
-
-let materialise_exec ?(opts = Run_opts.default) ~machine (plan : Plan.t) :
-    env =
-  let env = env_create () in
-  List.iter
-    (fun (b : Plan.block) ->
-      (* the only entry point carrying ?init is the compatibility
-         wrapper; cross-block inputs make this run inherently
-         uncacheable anyway, which is exactly what ?init implies *)
-      let res =
-        Exec.run ?sink:opts.Run_opts.sink ~init:(init_of env) ~mode:Sim.Full
-          ~jobs:(Run_opts.jobs_or_default opts)
-          ~machine b.Plan.b_sched
-      in
-      List.iter
-        (fun name ->
-          Hashtbl.replace env name
-            (Array.copy (Interp.find_array res.Exec.store name)))
-        b.Plan.b_written)
-    plan.Plan.blocks;
   env
 
 let simulate ?(opts = Run_opts.default) ?pool ?scope ~machine

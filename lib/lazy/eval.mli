@@ -28,18 +28,6 @@ val materialise : Plan.t -> env
 (** Execute the plan's blocks in order with the untimed
     {!Lf_core.Schedule.execute}. *)
 
-val materialise_exec :
-  ?opts:Lf_batch.Run_opts.t ->
-  machine:Lf_machine.Machine.config ->
-  Plan.t ->
-  env
-(** Execute each block through the full simulation engine
-    ({!Lf_machine.Exec.run_opts}, [Full] mode so the store
-    materialises) under the given options — the path the bit-identity
-    property runs across jobs values.  [Full] results are never
-    persisted (store allow-list), so the options' store policy is
-    irrelevant here; jobs and sink apply. *)
-
 val advance : env -> Plan.block -> unit
 (** Execute one block untimed and fold its outputs into [env] — the
     stepping primitive external backends (native verification in [lfc

@@ -68,19 +68,24 @@ let proc0_misses r = r.proc_misses.(0)
 (* ------------------------------------------------------------------ *)
 (* Host parallelism: default job count and the shared domain pool      *)
 
-(* LF_JOBS environment default: a positive integer, or "auto"/"0" for
-   the host's recommended domain count.  Unset or unparsable means
-   serial. *)
+(* The one parser of the jobs vocabulary, shared by LF_JOBS, the CLI's
+   --jobs and Run_opts.of_env: a positive integer, or "auto"/"0" for the
+   host's recommended domain count. *)
+let jobs_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "auto" | "0" -> Ok (Domain.recommended_domain_count ())
+  | t -> (
+    match int_of_string_opt t with
+    | Some j when j >= 1 -> Ok j
+    | Some _ | None ->
+      Error (Printf.sprintf "%s: expected a positive integer or auto" s))
+
+(* LF_JOBS environment default.  Unset or unparsable means serial here;
+   the CLI rejects a malformed value through Run_opts.of_env. *)
 let jobs_of_env () =
   match Sys.getenv_opt "LF_JOBS" with
   | None -> 1
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "auto" | "0" -> Domain.recommended_domain_count ()
-    | s -> (
-      match int_of_string_opt s with
-      | Some j when j >= 1 -> j
-      | Some _ | None -> 1))
+  | Some s -> Result.value (jobs_of_string s) ~default:1
 
 let default_jobs_ref = ref None
 
@@ -815,11 +820,29 @@ let exec_box exec_stmts compiled nest_arity ctx (b : Schedule.box) =
   | Some p ->
     Obs.box_span p ~nest:b.Schedule.nest ~iters ~t0 ~t1:(ctx_cycles ctx)
 
-(* The engine proper: everything above drives this one function.  All
-   public entry points (run_request and the compatibility wrappers)
-   funnel through here. *)
-let run_sched ?sink ~layout ?init ~steps ~mode ?jobs ?pool
-    ~machine:(m : Machine.config) (sched : Schedule.t) =
+(* Host-side execution options as one value.  lf_machine sits below
+   lf_batch, so this is the bottom half of the unified options story:
+   exactly the knobs the engine guarantees are bit-identity-preserving
+   (jobs/pool choose host domains, sink is passive observation).  The
+   full policy record — engine tier, store policy, timeout — lives in
+   Lf_batch.Run_opts, which lowers onto this one. *)
+type opts = {
+  o_jobs : int option;
+  o_pool : Pool.t option;
+  o_sink : Obs.sink option;
+}
+
+let default_opts = { o_jobs = None; o_pool = None; o_sink = None }
+let opts ?jobs ?pool ?sink () = { o_jobs = jobs; o_pool = pool; o_sink = sink }
+
+(* The engine proper, and its one entry point: everything above drives
+   this function.  A request names the simulation; the options ride
+   alongside because they are bit-identity-preserving. *)
+let run_opts o (req : Sim.request) =
+  let sched = Sim.schedule_of req in
+  let layout = Sim.layout_of req in
+  let m = req.Sim.machine and steps = req.Sim.steps and mode = req.Sim.mode in
+  let sink = o.o_sink in
   let prog = sched.Schedule.prog in
   let nprocs = sched.Schedule.nprocs in
   (* Stream generation setup: the store and the name -> (values,
@@ -829,7 +852,7 @@ let run_sched ?sink ~layout ?init ~steps ~mode ?jobs ?pool
   let store, lookup =
     match mode with
     | Full ->
-      let store = Interp.create ?init prog in
+      let store = Interp.create prog in
       ( store,
         fun name -> (Interp.find_array store name, Interp.find_extents store name)
       )
@@ -844,13 +867,13 @@ let run_sched ?sink ~layout ?init ~steps ~mode ?jobs ?pool
         fun name ->
           match Hashtbl.find_opt extents name with
           | Some e -> (no_values, e)
-          | None -> invalid_arg ("Exec.run: undeclared array " ^ name) )
+          | None -> invalid_arg ("Exec.run_opts: undeclared array " ^ name) )
   in
   let decls = Array.of_list prog.Ir.decls in
   let aid_of name =
     let rec go i =
       if i >= Array.length decls then
-        invalid_arg ("Exec.run: undeclared array " ^ name)
+        invalid_arg ("Exec.run_opts: undeclared array " ^ name)
       else if String.equal decls.(i).Ir.aname name then i
       else go (i + 1)
     in
@@ -915,10 +938,11 @@ let run_sched ?sink ~layout ?init ~steps ~mode ?jobs ?pool
      time), and every reduction below happens after the join, on this
      domain, in simulated-processor order — bit-identical to serial. *)
   let jobs =
-    max 1 (min nprocs (match jobs with Some j -> j | None -> default_jobs ()))
+    max 1
+      (min nprocs (match o.o_jobs with Some j -> j | None -> default_jobs ()))
   in
   let pool =
-    match pool with
+    match o.o_pool with
     | Some p -> if Pool.size p > 1 && nprocs > 1 then Some p else None
     | None -> if jobs > 1 then Some (shared_pool_of ~jobs) else None
   in
@@ -1006,51 +1030,7 @@ let run_sched ?sink ~layout ?init ~steps ~mode ?jobs ?pool
     store;
   }
 
-(* The primary entry point: a request names the simulation; host-side
-   knobs (jobs, pool, sink, and — for the compatibility layer — init)
-   ride alongside because they are bit-identity-preserving. *)
-let run_request_gen ?sink ?init ?jobs ?pool (req : Sim.request) =
-  run_sched ?sink ~layout:(Sim.layout_of req) ?init ~steps:req.Sim.steps
-    ~mode:req.Sim.mode ?jobs ?pool ~machine:req.Sim.machine
-    (Sim.schedule_of req)
-
-let run_request ?jobs ?pool ?sink req = run_request_gen ?sink ?jobs ?pool req
-
-(* Host-side execution options as one value.  lf_machine sits below
-   lf_batch, so this is the bottom half of the unified options story:
-   exactly the knobs the engine guarantees are bit-identity-preserving
-   (jobs/pool choose host domains, sink is passive observation).  The
-   full policy record — engine tier, store policy, timeout — lives in
-   Lf_batch.Run_opts, which lowers onto this one. *)
-type opts = {
-  o_jobs : int option;
-  o_pool : Pool.t option;
-  o_sink : Obs.sink option;
-}
-
-let default_opts = { o_jobs = None; o_pool = None; o_sink = None }
-let opts ?jobs ?pool ?sink () = { o_jobs = jobs; o_pool = pool; o_sink = sink }
-
-let run_opts o req =
-  run_request_gen ?sink:o.o_sink ?jobs:o.o_jobs ?pool:o.o_pool req
-
-(* Compatibility layer: the historical optional-argument entry points,
-   re-expressed as request builders (see exec.mli). *)
-let run ?sink ?layout ?init ?steps ?mode ?jobs ?pool ~machine sched =
-  run_request_gen ?sink ?init ?jobs ?pool
-    (Sim.of_schedule ?layout ?steps ?mode ~machine sched)
-
-let run_unfused ?sink ?layout ?init ?steps ?mode ?jobs ?pool ?grid ?depth
-    ~machine ~nprocs p =
-  run_request_gen ?sink ?init ?jobs ?pool
-    (Sim.unfused ?grid ?depth ?layout ?steps ?mode ~machine ~nprocs p)
-
-let run_fused ?sink ?layout ?init ?steps ?mode ?jobs ?pool ?grid ?strip
-    ?derive ~machine ~nprocs p =
-  run_request_gen ?sink ?init ?jobs ?pool
-    (Sim.fused ?grid ?strip ?derive ?layout ?steps ?mode ~machine ~nprocs p)
-
-(* Attribution tables from a sink recorded by [run]. *)
+(* Attribution tables from a sink recorded by [run_opts]. *)
 let breakdown sink ~by = Obs.breakdown sink ~by
 
 let speedup ~baseline_cycles (r : result) = baseline_cycles /. r.cycles

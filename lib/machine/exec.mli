@@ -7,14 +7,14 @@
     {b Two-level parallelism.}  The {e simulated} processors of a phase
     are independent by construction (the paper's phases are parallel
     loops), so the {e host} can interpret them on several OCaml domains
-    concurrently: [run ~jobs:j] maps the schedule's P simulated
-    processors onto up to [j] host domains per phase.  Each simulated
-    processor's state (cache, TLB, cycle counter, probe) is owned by
-    exactly one domain at a time, and every cross-processor reduction
-    (phase max, miss sums, event-stream merge) happens after the join
-    in simulated-processor order — so the result, including [store] and
-    the attached sink's contents, is bit-identical for every [jobs]
-    value.  Determinism relies on the schedule being legal (no
+    concurrently: {!run_opts} with [o_jobs = Some j] maps the schedule's
+    P simulated processors onto up to [j] host domains per phase.  Each
+    simulated processor's state (cache, TLB, cycle counter, probe) is
+    owned by exactly one domain at a time, and every cross-processor
+    reduction (phase max, miss sums, event-stream merge) happens after
+    the join in simulated-processor order — so the result, including
+    [store] and the attached sink's contents, is bit-identical for
+    every [jobs] value.  Determinism relies on the schedule being legal (no
     dependence between processors within a phase), which is what the
     barrier placement asserts; all schedules built by {!Lf_core.Schedule}
     satisfy it. *)
@@ -61,11 +61,15 @@ val proc0_misses : result -> int
 (** Misses of processor 0, the paper's "single processor during parallel
     execution" measure (Figures 18, 20). *)
 
+val jobs_of_string : string -> (int, string) Stdlib.result
+(** The jobs vocabulary shared by [LF_JOBS], the CLI's [--jobs] and
+    [Lf_batch.Run_opts.of_env]: a positive integer, or ["auto"]/["0"]
+    for [Domain.recommended_domain_count ()]. *)
+
 val default_jobs : unit -> int
-(** The job count used when [?jobs] is omitted: the last value passed
+(** The job count used when [o_jobs] is [None]: the last value passed
     to {!set_default_jobs}, else the [LF_JOBS] environment variable
-    (a positive integer, or ["auto"]/["0"] for
-    [Domain.recommended_domain_count ()]), else [1] (serial). *)
+    parsed by {!jobs_of_string}, else [1] (serial). *)
 
 val set_default_jobs : int -> unit
 (** Override the default host-domain count for subsequent runs
@@ -73,9 +77,9 @@ val set_default_jobs : int -> unit
 
 val release_shared_pool : unit -> unit
 (** Shut down the internally shared domain pool, if one exists.  The
-    pool is created lazily by the first parallel [run], reused across
-    runs, and shut down automatically at exit; tests use this to force
-    a fresh pool. *)
+    pool is created lazily by the first parallel {!run_opts}, reused
+    across runs, and shut down automatically at exit; tests use this to
+    force a fresh pool. *)
 
 type opts = {
   o_jobs : int option;  (** host domains; [None] means {!default_jobs} *)
@@ -98,112 +102,37 @@ val opts :
 
 val run_opts : opts -> Sim.request -> result
 (** [run_opts o req] simulates exactly the configuration [req] names
-    under host options [o].  This is the primary entry point;
-    {!run_request} is the historical optional-argument spelling and
-    forwards to the same engine. *)
+    under host options [o] — the one entry point of the engine.
+    Everything that determines a simulated observable lives inside the
+    request (and hence inside {!Sim.digest}); the options are host-side
+    knobs the engine guarantees are bit-identity-preserving.
 
-val run_request :
-  ?jobs:int ->
-  ?pool:Lf_parallel.Pool.t ->
-  ?sink:Lf_obs.Obs.sink ->
-  Sim.request ->
-  result
-(** {!run_opts} with the options spelled as optional arguments
-    (deprecated in favour of passing an {!opts} record — kept
-    bit-identical by construction, which test/test_run_opts.ml pins):
-    simulate exactly the configuration the {!Sim.request} names.  Everything that determines a simulated
-    observable lives inside the request (and hence inside
-    {!Sim.digest}); the arguments here are host-side execution knobs
-    that the engine guarantees are bit-identity-preserving — [jobs]
-    and [pool] choose how many OCaml domains interpret the simulated
-    processors, and [sink] attaches passive observability (see below).
-    [run_request r] equals the corresponding legacy call by
-    construction, which test/test_batch.ml checks as a QCheck property
-    over the paper's kernels. *)
+    The schedule runs with one cache per processor on the request's
+    layout; [steps] repeats the whole schedule (a sequential time-step
+    loop around the parallel loop sequence, with caches persisting
+    across steps).
 
-val run :
-  ?sink:Lf_obs.Obs.sink ->
-  ?layout:Lf_core.Partition.layout ->
-  ?init:(string -> int -> float) ->
-  ?steps:int ->
-  ?mode:mode ->
-  ?jobs:int ->
-  ?pool:Lf_parallel.Pool.t ->
-  machine:Machine.config ->
-  Lf_core.Schedule.t ->
-  result
-(** {b Compatibility layer.}  [run], {!run_unfused} and {!run_fused}
-    predate {!Sim.request}; they are retained as thin wrappers that
-    build the equivalent request ({!Sim.of_schedule}, {!Sim.unfused},
-    {!Sim.fused}) and call {!run_request}.  New call sites should build
-    a request — it is the value batch execution and the persistent
-    result store key on.  The only capability the wrappers add is
-    [?init], a custom store initialiser: a closure cannot be part of a
-    content-addressed request, so runs with [?init] exist outside the
-    caching world entirely.
-
-    [run ~machine sched] simulates [sched] with one cache per
-    processor.  [layout] defaults to a dense contiguous placement;
-    [steps] repeats the whole schedule (a sequential time-step loop
-    around the parallel loop sequence, with caches persisting across
-    steps).
-
-    [jobs] (default {!default_jobs}) is the number of host domains the
-    simulated processors are mapped onto, clamped to the processor
-    count; [1] is the serial engine.  [pool] supplies an existing
+    [o_jobs] (default {!default_jobs}) is the number of host domains
+    the simulated processors are mapped onto, clamped to the processor
+    count; [1] is the serial engine.  [o_pool] supplies an existing
     {!Lf_parallel.Pool} to run on instead (reused across phases, steps
     and successive runs); without it, parallel runs share one
     internally cached pool.  The result is bit-identical for every
-    [jobs]/[pool] choice.
+    [o_jobs]/[o_pool] choice.
 
-    [sink] attaches an {!Lf_obs.Obs.sink} collecting per-array x
+    [o_sink] attaches an {!Lf_obs.Obs.sink} collecting per-array x
     per-phase x per-processor counters and a structured event stream.
     Attaching a sink never changes the simulation: the store, cycle
     counts and cache statistics are bit-identical with and without it
     (the observer-effect property in test/test_obs.ml), under any
-    [jobs] count — each domain records into probe-private buffers that
-    are merged deterministically at phase end. *)
-
-val run_unfused :
-  ?sink:Lf_obs.Obs.sink ->
-  ?layout:Lf_core.Partition.layout ->
-  ?init:(string -> int -> float) ->
-  ?steps:int ->
-  ?mode:mode ->
-  ?jobs:int ->
-  ?pool:Lf_parallel.Pool.t ->
-  ?grid:int array ->
-  ?depth:int ->
-  machine:Machine.config ->
-  nprocs:int ->
-  Lf_ir.Ir.program ->
-  result
-(** Simulate the original program: one block-scheduled parallel phase
-    per nest, barriers in between. *)
-
-val run_fused :
-  ?sink:Lf_obs.Obs.sink ->
-  ?layout:Lf_core.Partition.layout ->
-  ?init:(string -> int -> float) ->
-  ?steps:int ->
-  ?mode:mode ->
-  ?jobs:int ->
-  ?pool:Lf_parallel.Pool.t ->
-  ?grid:int array ->
-  ?strip:int ->
-  ?derive:Lf_core.Derive.t ->
-  machine:Machine.config ->
-  nprocs:int ->
-  Lf_ir.Ir.program ->
-  result
-(** Simulate the fused shift-and-peel version (fused phase, barrier,
-    peeled iterations). *)
+    [o_jobs] count — each domain records into probe-private buffers
+    that are merged deterministically at phase end. *)
 
 val breakdown :
   Lf_obs.Obs.sink ->
   by:Lf_obs.Obs.group ->
   (string * Lf_obs.Obs.total) list
-(** Attribution tables from a sink recorded by {!run}: counter totals
-    grouped by array, phase or processor. *)
+(** Attribution tables from a sink recorded by {!run_opts}: counter
+    totals grouped by array, phase or processor. *)
 
 val speedup : baseline_cycles:float -> result -> float

@@ -1,13 +1,8 @@
 (** First-class simulation requests: one value that {e names} a
-    simulation.
-
-    Historically every way of running the simulator ({!Exec.run},
-    [run_unfused], [run_fused], the autotuner's exact tier, the bench
-    sweeps) grew its own pile of optional arguments, and nothing in the
-    system could say "this exact simulation" — which is precisely what a
-    persistent result cache ({!Lf_batch.Batch.Store}) and a batch job
-    list ({!Lf_batch.Batch.run}) need.  A {!request} captures everything
-    that determines the simulated observables:
+    simulation.  {!Exec.run_opts} simulates a request; the persistent
+    result store ({!Lf_batch.Batch.Store}) and the batch layer
+    ({!Lf_batch.Batch.run_with}) key on it.  A {!request} captures
+    everything that determines the simulated observables:
 
     - the program (its canonical printed form),
     - the machine configuration (geometry and every cost coefficient),
@@ -23,10 +18,7 @@
     (test/test_engine.ml, test/test_obs.ml), so they can vary freely
     between the run that produced a cached result and the run that
     reuses it.  Everything that could change a single observable bit is
-    {e inside} the request and hence inside {!digest}.  [?init]
-    (a custom store initialiser, a closure) cannot be named by data and
-    is therefore not part of a request: runs with a custom initialiser
-    take the compatibility entry points and are never cached.
+    {e inside} the request and hence inside {!digest}.
 
     {!digest} is salted with {!version_salt} plus the {!Fingerprint}s
     of exactly the modules the request depends on; bump a module's
@@ -75,7 +67,7 @@ val make :
   variant:variant ->
   Lf_ir.Ir.program ->
   request
-(** [steps] defaults to 1, [mode] to [Full] (mirroring {!Exec.run}). *)
+(** [steps] defaults to 1, [mode] to [Full]. *)
 
 val unfused :
   ?grid:int array ->

@@ -73,7 +73,7 @@ val attach :
   remote_fraction:float ->
   unit
 (** Bind the sink to one simulated run, resetting counters and events.
-    Called by [Exec.run] when a [?sink] is supplied. *)
+    Called by [Exec.run_opts] when the options carry a sink. *)
 
 val machine_name : sink -> string
 val layout : sink -> string

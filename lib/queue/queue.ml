@@ -244,16 +244,14 @@ type worker_stats = {
 
 let default_ttl = 10.0
 
-let worker ?wid ?(ttl = default_ttl) ?(poll_s = 0.05) ?idle_timeout_s ?jobs
-    ?opts ~store t =
-  (* unified options: an explicit ?jobs (legacy spelling) wins, else
-     the Run_opts value decides; everything else about a task is inside
-     its request, and the store handle is the queue's own. *)
-  let jobs =
-    match (jobs, opts) with
-    | (Some _ as j), _ -> j
-    | None, Some o -> o.Run_opts.jobs
-    | None, None -> None
+let worker ?wid ?(ttl = default_ttl) ?(poll_s = 0.05) ?idle_timeout_s
+    ?(opts = Run_opts.default) ~store t =
+  (* only the options' jobs apply: everything else about a task is
+     inside its request, and the store is the queue's own *)
+  let opts =
+    Run_opts.make ?jobs:opts.Run_opts.jobs
+      ~store:(Run_opts.Store_in (Some (Batch.Store.dir store)))
+      ()
   in
   let wid =
     match wid with Some w -> w | None -> Printf.sprintf "w%d" (Unix.getpid ())
@@ -315,7 +313,7 @@ let worker ?wid ?(ttl = default_ttl) ?(poll_s = 0.05) ?idle_timeout_s ?jobs
           incr failed
         end
         else
-          match Batch.run_one ~store ~scope ?jobs req with
+          match Batch.run_one_with ~scope opts req with
           | _res -> ()
           | exception e ->
             record_failure t d (Printexc.to_string e);

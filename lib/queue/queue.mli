@@ -6,7 +6,7 @@
     medium: an enqueuer writes one task file per missing request
     digest, any number of [lfc worker] processes (local or on any host
     sharing the filesystem) claim tasks by atomic rename, compute them
-    through {!Lf_batch.Batch.run_one} and publish to the store, and
+    through {!Lf_batch.Batch.run_one_with} and publish to the store, and
     the enqueuer waits for the queue to drain — after which the sweep
     is pure store hits.
 
@@ -109,13 +109,12 @@ val worker :
   ?ttl:float ->
   ?poll_s:float ->
   ?idle_timeout_s:float ->
-  ?jobs:int ->
   ?opts:Lf_batch.Run_opts.t ->
   store:Lf_batch.Batch.Store.t ->
   t ->
   worker_stats
 (** Run a worker loop: adopt the queue's fingerprint view, reclaim
-    expired leases, claim, compute ({!Lf_batch.Batch.run_one}, which
+    expired leases, claim, compute ({!Lf_batch.Batch.run_one_with}, which
     re-probes the store and publishes the result), delete the lease;
     repeat.  A claim whose canonical text does not parse, whose digest
     disagrees with this process's fingerprint view, or whose
@@ -130,10 +129,9 @@ val worker :
     whitespace.
 
     [opts] is the unified {!Lf_batch.Run_opts.t}: its [jobs] field
-    applies to each computation (an explicit [?jobs], the legacy
-    spelling, wins when both are given).  The other policy fields do
-    not apply here — each task's engine is inside its request, and the
-    queue's store handle is the [store] argument. *)
+    applies to each computation.  The other policy fields do not apply
+    here — each task's engine is inside its request, and the queue's
+    store is the [store] argument. *)
 
 (** {1 Observation} *)
 

@@ -5,7 +5,8 @@
      (I/O bound; blocking reads release the runtime lock);
    - misses are computed on [workers] dedicated domains feeding from
      the Drr queue, each simulation run serially on its domain
-     (~jobs:1) — the same across-not-within discipline as Batch.run;
+     (jobs 1) — the same across-not-within discipline as
+     Batch.run_with;
    - a ticker systhread streams Progress frames for running jobs.
 
    Every socket write goes through [send], which serialises writers

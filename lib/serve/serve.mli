@@ -8,10 +8,10 @@
     A miss is admitted (or refused with [Overloaded]) into a
     {!Drr}-scheduled queue consumed by a fixed set of worker domains,
     each computing one request at a time with
-    {!Lf_batch.Batch.run_one} [~jobs:1] — the service parallelises
-    {e across} requests, not within one, exactly like the batch
-    orchestrator — and persisting the result, so every computed answer
-    also warms the store for future fast-path hits.
+    {!Lf_batch.Batch.run_one_with} at jobs 1 — the service
+    parallelises {e across} requests, not within one, exactly like the
+    batch orchestrator — and persisting the result, so every computed
+    answer also warms the store for future fast-path hits.
 
     {b Streaming.}  Each admitted request is acked immediately with its
     queue position; while it computes, a ticker thread samples the

@@ -21,7 +21,7 @@
     {b Results on the wire are store entries.}  [Result] bodies render
     every float as its IEEE-754 bit pattern (the {!Lf_batch.Batch.Store}
     discipline), so a served result is byte-identical to a local
-    {!Lf_machine.Exec.run_request} of the same request. *)
+    {!Lf_machine.Exec.run_opts} of the same request. *)
 
 module Sim = Lf_machine.Sim
 module Exec = Lf_machine.Exec

@@ -5,6 +5,8 @@ module Machine = Lf_machine.Machine
 module Cache = Lf_cache.Cache
 module Schedule = Lf_core.Schedule
 module Exec = Lf_machine.Exec
+module Batch = Lf_batch.Batch
+module Run_opts = Lf_batch.Run_opts
 
 type exact = { e_cycles : float; e_misses : int; e_barrier : float }
 
@@ -152,14 +154,19 @@ let exact ?depth ?steps ?cache ?store ~machine ~nprocs p cand =
     | Ok (sched, layout) ->
       (* the tuner only reads cycles/misses/barrier, never the store,
          so the run-compressed address-stream engine is
-         semantics-preserving here.  Routing through Batch.run_one
+         semantics-preserving here.  Routing through the batch layer
          makes every exact evaluation a content-addressed request:
          with [store], evaluations persist across processes. *)
       let req =
         Lf_machine.Sim.of_schedule ~layout ?steps
           ~mode:Lf_machine.Sim.Run_compressed ~machine sched
       in
-      let r = Lf_batch.Batch.run_one ?store req in
+      let policy =
+        match store with
+        | None -> Run_opts.Store_off
+        | Some st -> Run_opts.Store_in (Some (Batch.Store.dir st))
+      in
+      let r = Batch.run_one_with (Run_opts.make ~store:policy ()) req in
       Ok
         {
           e_cycles = r.Exec.cycles;

@@ -18,8 +18,9 @@
     are bit-identical to a full run; only the store, which the tuner
     never reads, is skipped), inherit its host-domain parallelism
     ({!Lf_machine.Exec.default_jobs}), and are issued as
-    content-addressed requests through {!Lf_batch.Batch.run_one}, so an
-    on-disk {!Lf_batch.Batch.Store} persists them across processes. *)
+    content-addressed requests through
+    {!Lf_batch.Batch.run_one_with}, so an on-disk
+    {!Lf_batch.Batch.Store} persists them across processes. *)
 
 type exact = {
   e_cycles : float;  (** simulated execution time *)
@@ -55,9 +56,9 @@ type calibration = (string * float) list
 
 val calibration_of_sink : Lf_obs.Obs.sink -> calibration
 (** One calibration entry from a profile recorded by
-    [Lf_machine.Exec.run ~sink]: the sink's layout tag mapped to its
-    measured miss factor.  Concatenate the results of several profiled
-    runs to calibrate several layouts. *)
+    {!Lf_machine.Exec.run_opts} with a sink: the sink's layout tag
+    mapped to its measured miss factor.  Concatenate the results of
+    several profiled runs to calibrate several layouts. *)
 
 val conflict_factor :
   ?calibration:calibration ->
@@ -91,7 +92,7 @@ val exact :
   Space.candidate ->
   (exact, string) result
 (** Simulated cycles of a candidate, memoised in [cache] when given.
-    Cold evaluations go through {!Lf_batch.Batch.run_one} as
+    Cold evaluations go through {!Lf_batch.Batch.run_one_with} as
     content-addressed {!Lf_machine.Sim.request}s, so with [store] they
     are also answered from (and persisted to) the on-disk result store —
     the in-memory [cache] short-circuits repeats within a search, the

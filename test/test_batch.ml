@@ -1,9 +1,10 @@
 (* The request/store/batch layer (lf_batch + Sim.request).
 
    Three contracts under test:
-   - the Exec compatibility wrappers (run/run_unfused/run_fused) are
-     bit-identical to building the equivalent Sim.request and calling
-     run_request — a QCheck property over the paper's six kernels;
+   - the Sim.fused/Sim.unfused builders name exactly the schedules
+     Schedule.fused/unfused build: their requests simulate
+     bit-identically to Explicit requests of those schedules — a QCheck
+     property over the paper's six kernels;
    - Store round trips are bit-exact, corruption-tolerant (any damaged
      entry is a miss, never an error) and safe under concurrent
      writers;
@@ -20,6 +21,7 @@ module Exec = Lf_machine.Exec
 module Sim = Lf_machine.Sim
 module Batch = Lf_batch.Batch
 module Store = Lf_batch.Batch.Store
+module Run_opts = Lf_batch.Run_opts
 module Cache = Lf_cache.Cache
 
 open QCheck
@@ -118,75 +120,48 @@ let results_identical (a : Exec.result) (b : Exec.result) =
 let counters_identical = results_identical
 
 (* ------------------------------------------------------------------ *)
-(* Compatibility wrappers vs run_request                               *)
+(* Request builders vs explicit schedules                              *)
 
-(* run_unfused/run_fused c equals run_request of Sim.unfused/Sim.fused
-   with the same arguments, store included. *)
-let prop_wrappers_equal_request ~machine name =
+(* Sim.fused/Sim.unfused request the schedule that Schedule.fused/
+   unfused builds: the builder's request (rebuilt from the program at
+   replay time) simulates exactly like the Explicit request carrying
+   that schedule structurally — every counter, the sink totals, and
+   the store in Full mode. *)
+let prop_builders_equal_explicit ~machine name =
   Test.make ~count:40
-    ~name:("legacy wrappers equal run_request (" ^ name ^ ")")
+    ~name:("Sim builders = of_schedule (" ^ name ^ ")")
     arb_case
     (fun c ->
       let _, mk = kernels.(c.kernel) in
       let p = mk c.n in
       let mode = modes.(c.mode_ix) in
       let layout = layout_of_pick ~machine c.pick p in
-      let legacy () =
+      let nprocs = c.nprocs and steps = c.steps in
+      let built, sched =
         if c.fuse then
-          Exec.run_fused ~mode ~layout ~machine ~nprocs:c.nprocs
-            ~strip:c.strip ~steps:c.steps p
+          ( Sim.fused ~strip:c.strip ~layout ~steps ~mode ~machine ~nprocs p,
+            fun () -> Schedule.fused ~nprocs ~strip:c.strip p )
         else
-          Exec.run_unfused ~mode ~layout ~machine ~nprocs:c.nprocs
-            ~steps:c.steps p
-      in
-      let request () =
-        let req =
-          if c.fuse then
-            Sim.fused ~strip:c.strip ~layout ~steps:c.steps ~mode ~machine
-              ~nprocs:c.nprocs p
-          else
-            Sim.unfused ~layout ~steps:c.steps ~mode ~machine
-              ~nprocs:c.nprocs p
-        in
-        Exec.run_request req
-      in
-      match legacy () with
-      | exception Schedule.Illegal _ -> true
-      | exception Invalid_argument _ -> true (* more procs than iters *)
-      | l ->
-        let r = request () in
-        if not (results_identical l r) then
-          Test.fail_report "wrapper result differs from run_request";
-        if not (Interp.equal l.Exec.store r.Exec.store) then
-          Test.fail_report "wrapper store differs from run_request";
-        true)
-
-(* Exec.run on a prebuilt schedule equals run_request of the Explicit
-   request wrapping that schedule. *)
-let prop_run_equals_explicit ~machine name =
-  Test.make ~count:40
-    ~name:("Exec.run equals Explicit run_request (" ^ name ^ ")")
-    arb_case
-    (fun c ->
-      let _, mk = kernels.(c.kernel) in
-      let p = mk c.n in
-      let mode = modes.(c.mode_ix) in
-      let sched () =
-        if c.fuse then Schedule.fused ~nprocs:c.nprocs ~strip:c.strip p
-        else Schedule.unfused ~nprocs:c.nprocs p
+          ( Sim.unfused ~layout ~steps ~mode ~machine ~nprocs p,
+            fun () -> Schedule.unfused ~nprocs p )
       in
       match sched () with
       | exception Schedule.Illegal _ -> true
-      | exception Invalid_argument _ -> true
+      | exception Invalid_argument _ -> true (* more procs than iters *)
       | sched ->
-        let layout = layout_of_pick ~machine c.pick p in
-        let l = Exec.run ~mode ~layout ~machine ~steps:c.steps sched in
-        let r =
-          Exec.run_request
-            (Sim.of_schedule ~layout ~steps:c.steps ~mode ~machine sched)
+        let explicit = Sim.of_schedule ~layout ~steps ~mode ~machine sched in
+        let run req =
+          let sink = Lf_obs.Obs.create () in
+          let r = Exec.run_opts (Exec.opts ~sink ()) req in
+          (r, Lf_obs.Obs.totals sink)
         in
-        if not (results_identical l r && Interp.equal l.Exec.store r.Exec.store)
-        then Test.fail_report "Exec.run differs from Explicit run_request";
+        let b, b_totals = run built and e, e_totals = run explicit in
+        if not (results_identical b e) then
+          Test.fail_report "builder request differs from Explicit request";
+        if b_totals <> e_totals then
+          Test.fail_report "sink totals differ";
+        if not (Interp.equal b.Exec.store e.Exec.store) then
+          Test.fail_report "store differs";
         true)
 
 (* ------------------------------------------------------------------ *)
@@ -197,6 +172,10 @@ let scratch_store () =
   let path = Filename.temp_file "lf_store_test" "" in
   Sys.remove path;
   Store.open_ ~dir:path ()
+
+(* Batch options persisting into [store]'s root. *)
+let in_store store =
+  Run_opts.make ~store:(Run_opts.Store_in (Some (Store.dir store))) ()
 
 let sample_request ?(mode = Sim.Run_compressed) ?(n = 48) ?(nprocs = 3) () =
   let p = Lf_kernels.Ll18.program ~n () in
@@ -212,7 +191,7 @@ let test_store_roundtrip () =
   let store = scratch_store () in
   let req = sample_request () in
   Alcotest.(check bool) "miss before add" true (Store.lookup store req = None);
-  let res = Exec.run_request req in
+  let res = Exec.run_opts Exec.default_opts req in
   Alcotest.(check bool) "add accepts" true (Store.add store req res);
   match Store.lookup store req with
   | None -> Alcotest.fail "lookup missed after add"
@@ -240,7 +219,7 @@ let prop_store_roundtrip =
         else
           Sim.unfused ~layout ~steps:c.steps ~mode ~machine ~nprocs:c.nprocs p
       in
-      match Exec.run_request (req ()) with
+      match Exec.run_opts Exec.default_opts (req ()) with
       | exception Schedule.Illegal _ -> true
       | exception Invalid_argument _ -> true
       | res -> (
@@ -266,7 +245,7 @@ let prop_store_roundtrip =
 let test_store_corruption () =
   let store = scratch_store () in
   let req = sample_request () in
-  let res = Exec.run_request req in
+  let res = Exec.run_opts Exec.default_opts req in
   let path = entry_path store req in
   let read_all () =
     let ic = open_in_bin path in
@@ -333,7 +312,7 @@ let test_store_corruption () =
 let test_store_concurrent_writers () =
   let store = scratch_store () in
   let req = sample_request ~n:32 () in
-  let res = Exec.run_request req in
+  let res = Exec.run_opts Exec.default_opts req in
   let writers =
     Array.init 4 (fun _ ->
         Domain.spawn (fun () ->
@@ -359,7 +338,8 @@ let test_store_stats_gc_clear () =
     List.map (fun n -> sample_request ~n ()) [ 24; 28; 32; 36; 40 ]
   in
   List.iter
-    (fun req -> ignore (Store.add store req (Exec.run_request req)))
+    (fun req ->
+      ignore (Store.add store req (Exec.run_opts Exec.default_opts req)))
     reqs;
   let st = Store.stats store in
   Alcotest.(check int) "five entries" 5 st.Store.entries;
@@ -375,14 +355,14 @@ let test_store_stats_gc_clear () =
   Alcotest.(check int) "store empty" 0 (Store.stats store).Store.entries
 
 (* ------------------------------------------------------------------ *)
-(* Batch.run                                                           *)
+(* Batch.run_with                                                      *)
 
 let test_batch_dedup_and_hits () =
   let store = scratch_store () in
   let r1 = sample_request ~n:24 () in
   let r2 = sample_request ~n:28 () in
   (* r1 appears three times: once computed, twice deduplicated *)
-  let outcomes, summary = Batch.run ~store [ r1; r2; r1; r1 ] in
+  let outcomes, summary = Batch.run_with (in_store store) [ r1; r2; r1; r1 ] in
   Alcotest.(check int) "total" 4 summary.Batch.total;
   Alcotest.(check int) "unique" 2 summary.Batch.unique;
   Alcotest.(check int) "computed" 2 summary.Batch.computed;
@@ -392,7 +372,7 @@ let test_batch_dedup_and_hits () =
     (results_identical results.(0) results.(2)
     && results_identical results.(0) results.(3));
   (* second batch: everything answered from the store *)
-  let outcomes2, summary2 = Batch.run ~store [ r1; r2 ] in
+  let outcomes2, summary2 = Batch.run_with (in_store store) [ r1; r2 ] in
   Alcotest.(check int) "warm hits" 2 summary2.Batch.hits;
   Alcotest.(check int) "warm computed" 0 summary2.Batch.computed;
   Array.iteri
@@ -402,7 +382,7 @@ let test_batch_dedup_and_hits () =
         (results_identical (Result.get_ok o.Batch.result) results.(i)))
     outcomes2;
   (* --cold forces recomputation but still counts as computed *)
-  let _, summary3 = Batch.run ~store ~cold:true [ r1 ] in
+  let _, summary3 = Batch.run_with (Run_opts.cold (in_store store)) [ r1 ] in
   Alcotest.(check int) "cold recomputes" 1 summary3.Batch.computed;
   ignore (Store.clear store)
 
@@ -412,8 +392,9 @@ let test_batch_parallel_identical () =
       (fun n -> [ sample_request ~n (); sample_request ~n ~nprocs:2 () ])
       [ 24; 28; 32; 36 ]
   in
-  let serial, _ = Batch.run ~jobs:1 reqs in
-  let parallel, _ = Batch.run ~jobs:4 reqs in
+  let batch jobs = Batch.run_with Run_opts.(make ~jobs ~store:Store_off ()) in
+  let serial, _ = batch 1 reqs in
+  let parallel, _ = batch 4 reqs in
   Array.iteri
     (fun i (s : Batch.outcome) ->
       Alcotest.(check bool) "sharded batch bit-identical to serial" true
@@ -433,7 +414,9 @@ let test_batch_failure_propagation () =
       ~nprocs:9 p
   in
   let good = sample_request ~n:24 () in
-  let outcomes, summary = Batch.run [ good; bad; good ] in
+  let outcomes, summary =
+    Batch.run_with Run_opts.(without_store default) [ good; bad; good ]
+  in
   Alcotest.(check int) "one unique failure" 1 summary.Batch.failed;
   (match outcomes.(1).Batch.result with
   | Error (Batch.Crashed _) -> ()
@@ -448,7 +431,9 @@ let test_batch_failure_propagation () =
 
 let test_batch_timeout () =
   let req = sample_request ~n:48 () in
-  let outcomes, summary = Batch.run ~timeout_s:0.0 [ req ] in
+  let outcomes, summary =
+    Batch.run_with Run_opts.(make ~timeout_s:0.0 ~store:Store_off ()) [ req ]
+  in
   Alcotest.(check int) "timed out" 1 summary.Batch.failed;
   match outcomes.(0).Batch.result with
   | Error (Batch.Timed_out dt) ->
@@ -460,18 +445,18 @@ let test_run_one_sink_always_computes () =
   let req = sample_request ~n:24 () in
   let sink = Lf_obs.Obs.create () in
   let c0 = Batch.computed_count () in
-  let r1 = Batch.run_one ~store ~sink req in
+  let r1 = Batch.run_one_with (Run_opts.with_sink sink (in_store store)) req in
   Alcotest.(check bool) "sink populated" true
     ((Lf_obs.Obs.totals sink).Lf_obs.Obs.t_refs > 0);
   (* the sinked run warmed the store: a sink-less repeat is a hit *)
   let h0 = Batch.hit_count () in
-  let r2 = Batch.run_one ~store req in
+  let r2 = Batch.run_one_with (in_store store) req in
   Alcotest.(check bool) "sink-less repeat hits the store" true
     (Batch.hit_count () = h0 + 1);
   Alcotest.(check bool) "hit bit-identical" true (results_identical r1 r2);
   (* a second sinked run computes again (replay cannot fill a sink) *)
   let sink2 = Lf_obs.Obs.create () in
-  ignore (Batch.run_one ~store ~sink:sink2 req);
+  ignore (Batch.run_one_with (Run_opts.with_sink sink2 (in_store store)) req);
   Alcotest.(check bool) "sinked runs always compute" true
     (Batch.computed_count () >= c0 + 2);
   ignore (Store.clear store)
@@ -602,7 +587,9 @@ let test_fingerprint_override_digests () =
 let test_fingerprint_stats () =
   Sim.Fingerprint.clear_overrides ();
   let store = scratch_store () in
-  let add req = ignore (Store.add store req (Exec.run_request req)) in
+  let add req =
+    ignore (Store.add store req (Exec.run_opts Exec.default_opts req))
+  in
   add (sample_request ~n:24 ());
   add (sample_request ~n:28 ());
   let st = Store.fingerprint_stats store in
@@ -683,11 +670,11 @@ let test_cacheable_allowlist () =
      persisted entry *)
   let store = scratch_store () in
   let req = sample_request ~n:24 () in
-  let outcomes, _ = Batch.run ~store [ req ] in
+  let outcomes, _ = Batch.run_with (in_store store) [ req ] in
   Alcotest.(check bool)
     "cold run takes time" true
     (outcomes.(0).Batch.wall_s >= 0.0 && not outcomes.(0).Batch.from_store);
-  let warm, _ = Batch.run ~store [ req ] in
+  let warm, _ = Batch.run_with (in_store store) [ req ] in
   Alcotest.(check bool) "warm hit" true warm.(0).Batch.from_store;
   Alcotest.(check (float 0.0)) "warm wall_s is 0" 0.0 warm.(0).Batch.wall_s;
   ignore (Store.clear store)
@@ -699,8 +686,7 @@ let suite =
   List.concat_map
     (fun (machine, name) ->
       [
-        Tutil.to_alcotest (prop_wrappers_equal_request ~machine name);
-        Tutil.to_alcotest (prop_run_equals_explicit ~machine name);
+        Tutil.to_alcotest (prop_builders_equal_explicit ~machine name);
       ])
     machine_cases
   @ [

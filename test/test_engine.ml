@@ -1,12 +1,13 @@
 (* The domain-parallel engine and the miss-only fast path.
 
    The tentpole invariant of the host-parallel simulator: the result of
-   [Exec.run] — store, cycles, per-phase cycles, per-processor misses,
-   and everything an attached sink records — is bit-identical for every
-   [jobs] value.  Checked as a QCheck property over the paper's six
-   kernels (LL18, calc, jacobi, filter, tomcatv, hydro2d) with random
-   grids, strips, layouts and jobs in 1..8, and directed tests for the
-   miss-only mode, explicit pools, and the LF_JOBS default. *)
+   [Exec.run_opts] — store, cycles, per-phase cycles, per-processor
+   misses, and everything an attached sink records — is bit-identical
+   for every [jobs] value.  Checked as a QCheck property over the
+   paper's six kernels (LL18, calc, jacobi, filter, tomcatv, hydro2d)
+   with random grids, strips, layouts and jobs in 1..8, and directed
+   tests for the miss-only mode, explicit pools, and the LF_JOBS
+   default. *)
 
 module Ir = Lf_ir.Ir
 module Interp = Lf_ir.Interp
@@ -14,6 +15,7 @@ module Schedule = Lf_core.Schedule
 module Partition = Lf_core.Partition
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
+module Sim = Lf_machine.Sim
 module Cache = Lf_cache.Cache
 module Obs = Lf_obs.Obs
 module Pool = Lf_parallel.Pool
@@ -135,11 +137,12 @@ let prop_parallel_identical ~machine name =
         let layout = layout_of_pick ~machine c.pick p in
         let s_sink = Obs.create () and j_sink = Obs.create () in
         let serial =
-          Exec.run ~sink:s_sink ~layout ~machine ~steps:c.steps ~jobs:1 sched
+          Exec.run_opts (Exec.opts ~sink:s_sink ~jobs:1 ())
+            (Sim.of_schedule ~layout ~machine ~steps:c.steps sched)
         in
         let par =
-          Exec.run ~sink:j_sink ~layout ~machine ~steps:c.steps ~jobs:c.jobs
-            sched
+          Exec.run_opts (Exec.opts ~sink:j_sink ~jobs:c.jobs ())
+            (Sim.of_schedule ~layout ~machine ~steps:c.steps sched)
         in
         if not (results_identical serial par) then
           Test.fail_report "parallel result differs from serial";
@@ -163,11 +166,13 @@ let prop_miss_only_matches ~machine name =
         let layout = layout_of_pick ~machine c.pick p in
         let f_sink = Obs.create () and m_sink = Obs.create () in
         let full =
-          Exec.run ~sink:f_sink ~layout ~machine ~steps:c.steps ~jobs:1 sched
+          Exec.run_opts (Exec.opts ~sink:f_sink ~jobs:1 ())
+            (Sim.of_schedule ~layout ~machine ~steps:c.steps sched)
         in
         let miss =
-          Exec.run ~sink:m_sink ~mode:Exec.Miss_only ~layout ~machine
-            ~steps:c.steps ~jobs:c.jobs sched
+          Exec.run_opts (Exec.opts ~sink:m_sink ~jobs:c.jobs ())
+            (Sim.of_schedule ~mode:Exec.Miss_only ~layout ~machine
+               ~steps:c.steps sched)
         in
         let counters_ok =
           full.Exec.cycles = miss.Exec.cycles
@@ -254,12 +259,14 @@ let prop_run_compressed_identical =
         let layout = layout_of_pick ~machine c.pick p in
         let s_sink = Obs.create () and r_sink = Obs.create () in
         let scalar =
-          Exec.run ~sink:s_sink ~mode:Exec.Miss_only ~layout ~machine
-            ~steps:c.steps ~jobs:1 sched
+          Exec.run_opts (Exec.opts ~sink:s_sink ~jobs:1 ())
+            (Sim.of_schedule ~mode:Exec.Miss_only ~layout ~machine
+               ~steps:c.steps sched)
         in
         let runs =
-          Exec.run ~sink:r_sink ~mode:Exec.Run_compressed ~layout ~machine
-            ~steps:c.steps ~jobs:c.jobs sched
+          Exec.run_opts (Exec.opts ~sink:r_sink ~jobs:c.jobs ())
+            (Sim.of_schedule ~mode:Exec.Run_compressed ~layout ~machine
+               ~steps:c.steps sched)
         in
         if not (results_identical scalar runs) then
           Test.fail_report "run-compressed result differs from scalar replay";
@@ -300,7 +307,10 @@ let test_run_compressed_oob () =
   in
   let sched = Schedule.unfused ~nprocs:1 oob in
   let msg mode =
-    match Exec.run ~machine:Machine.convex ~mode sched with
+    match
+      Exec.run_opts Exec.default_opts
+        (Sim.of_schedule ~machine:Machine.convex ~mode sched)
+    with
     | _ -> Alcotest.fail "expected Out_of_bounds"
     | exception Interp.Out_of_bounds m -> m
   in
@@ -328,8 +338,14 @@ let test_miss_only_directed () =
             if fused then Schedule.fused ~nprocs:4 ~strip:5 p
             else Schedule.unfused ~nprocs:4 p
           in
-          let full = Exec.run ~layout ~machine sched in
-          let miss = Exec.run ~mode:Exec.Miss_only ~layout ~machine sched in
+          let full =
+            Exec.run_opts Exec.default_opts
+              (Sim.of_schedule ~layout ~machine sched)
+          in
+          let miss =
+            Exec.run_opts Exec.default_opts
+              (Sim.of_schedule ~mode:Exec.Miss_only ~layout ~machine sched)
+          in
           let tag b = Printf.sprintf "%s fused=%b" name b in
           Alcotest.(check int)
             (tag fused ^ " misses") full.Exec.total_misses
@@ -357,10 +373,19 @@ let test_explicit_pool () =
   let p = Lf_kernels.Ll18.program ~n:32 () in
   let machine = Machine.ksr2 in
   let sched = Schedule.fused ~nprocs:4 ~strip:4 p in
-  let serial = Exec.run ~machine ~steps:2 ~jobs:1 sched in
+  let serial =
+    Exec.run_opts (Exec.opts ~jobs:1 ())
+      (Sim.of_schedule ~machine ~steps:2 sched)
+  in
   Pool.with_pool 3 (fun pool ->
-      let a = Exec.run ~machine ~steps:2 ~pool sched in
-      let b = Exec.run ~machine ~steps:2 ~pool sched in
+      let a =
+        Exec.run_opts (Exec.opts ~pool ())
+          (Sim.of_schedule ~machine ~steps:2 sched)
+      in
+      let b =
+        Exec.run_opts (Exec.opts ~pool ())
+          (Sim.of_schedule ~machine ~steps:2 sched)
+      in
       Alcotest.(check bool) "pooled run = serial" true
         (results_identical serial a);
       Alcotest.(check bool) "pool reusable across runs" true
@@ -394,14 +419,23 @@ let test_parallel_exception_propagates () =
     }
   in
   let sched = Schedule.unfused ~nprocs:3 oob in
-  (match Exec.run ~machine:Machine.ksr2 ~jobs:2 sched with
+  (match
+     Exec.run_opts (Exec.opts ~jobs:2 ())
+       (Sim.of_schedule ~machine:Machine.ksr2 sched)
+   with
   | _ -> Alcotest.fail "expected Out_of_bounds from worker"
   | exception Interp.Out_of_bounds _ -> ());
   (* the shared pool survives the failed region *)
   let p = Lf_kernels.Jacobi.program ~n:24 () in
   let good = Schedule.unfused ~nprocs:3 p in
-  let serial = Exec.run ~machine:Machine.ksr2 ~jobs:1 good in
-  let par = Exec.run ~machine:Machine.ksr2 ~jobs:2 good in
+  let serial =
+    Exec.run_opts (Exec.opts ~jobs:1 ())
+      (Sim.of_schedule ~machine:Machine.ksr2 good)
+  in
+  let par =
+    Exec.run_opts (Exec.opts ~jobs:2 ())
+      (Sim.of_schedule ~machine:Machine.ksr2 good)
+  in
   Alcotest.(check bool) "engine usable after worker exception" true
     (results_identical serial par)
 

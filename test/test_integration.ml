@@ -10,6 +10,7 @@ module Partition = Lf_core.Partition
 module Alignrep = Lf_core.Alignrep
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
+module Sim = Lf_machine.Sim
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -31,12 +32,18 @@ let test_pipeline_kernels () =
   List.iter
     (fun (p, strip) ->
       let layout = partitioned machine p in
-      let f = Exec.run_fused ~layout ~machine ~nprocs:4 ~strip p in
+      let f =
+        Exec.run_opts Exec.default_opts
+          (Sim.fused ~layout ~machine ~nprocs:4 ~strip p)
+      in
       check bool
         (p.Ir.pname ^ " semantics")
         true
         (Interp.equal (Interp.run p) f.Exec.store);
-      let u = Exec.run_unfused ~layout ~machine ~nprocs:4 p in
+      let u =
+        Exec.run_opts Exec.default_opts
+          (Sim.unfused ~layout ~machine ~nprocs:4 p)
+      in
       check bool
         (p.Ir.pname ^ " fewer misses")
         true
@@ -55,8 +62,13 @@ let test_crossover_exists () =
   let p = Lf_kernels.Calc.program ~n:128 () in
   let layout = partitioned machine p in
   let gain nprocs =
-    let u = Exec.run_unfused ~layout ~machine ~nprocs p in
-    let f = Exec.run_fused ~layout ~machine ~nprocs ~strip:10 p in
+    let u =
+      Exec.run_opts Exec.default_opts (Sim.unfused ~layout ~machine ~nprocs p)
+    in
+    let f =
+      Exec.run_opts Exec.default_opts
+        (Sim.fused ~layout ~machine ~nprocs ~strip:10 p)
+    in
     u.Exec.cycles /. f.Exec.cycles
   in
   let g1 = gain 1 and g8 = gain 8 in
@@ -70,7 +82,8 @@ let test_partitioning_minimises () =
   let p = Lf_kernels.Ll18.program ~n:128 () in
   let strip = 8 in
   let miss layout =
-    (Exec.run_fused ~layout ~machine ~nprocs:4 ~strip p).Exec.total_misses
+    (Exec.run_opts Exec.default_opts
+       (Sim.fused ~layout ~machine ~nprocs:4 ~strip p)).Exec.total_misses
   in
   let part = miss (partitioned machine p) in
   check bool "beats pad 0" true (part < miss (Partition.padded ~pad:0 p.Ir.decls));
@@ -91,13 +104,15 @@ let test_peeling_beats_alignrep () =
   | Error m -> Alcotest.fail m
   | Ok r ->
     let f =
-      Exec.run_fused
-        ~layout:(partitioned machine p)
-        ~machine ~nprocs:4 ~strip:8 p
+      Exec.run_opts Exec.default_opts
+        (Sim.fused ~layout:(partitioned machine p) ~machine ~nprocs:4
+           ~strip:8 p)
     in
     let sched = Alignrep.schedule ~nprocs:4 ~strip:8 r in
     let a =
-      Exec.run ~layout:(partitioned machine r.Alignrep.prog) ~machine sched
+      Exec.run_opts Exec.default_opts
+        (Sim.of_schedule ~layout:(partitioned machine r.Alignrep.prog)
+           ~machine sched)
     in
     check bool "alignrep result correct" true
       (List.for_all
@@ -114,7 +129,8 @@ let test_strip_size_rule () =
   let p = Lf_kernels.Ll18.program ~n:256 () in
   let layout = partitioned machine p in
   let miss strip =
-    (Exec.run_fused ~layout ~machine ~nprocs:2 ~strip p).Exec.total_misses
+    (Exec.run_opts Exec.default_opts
+       (Sim.fused ~layout ~machine ~nprocs:2 ~strip p)).Exec.total_misses
   in
   let narrays = List.length p.Ir.decls in
   let good =
@@ -152,8 +168,12 @@ let test_schedule_matches_figure12 () =
 let test_fusion_saves_barriers () =
   let p = Lf_kernels.Filter.program ~rows:48 ~cols:16 () in
   let m = Machine.ksr2 in
-  let u = Exec.run_unfused ~machine:m ~nprocs:4 p in
-  let f = Exec.run_fused ~machine:m ~nprocs:4 ~strip:8 p in
+  let u =
+    Exec.run_opts Exec.default_opts (Sim.unfused ~machine:m ~nprocs:4 p)
+  in
+  let f =
+    Exec.run_opts Exec.default_opts (Sim.fused ~machine:m ~nprocs:4 ~strip:8 p)
+  in
   (* 10 nests: 9 barriers unfused vs 1 fused *)
   check bool "9x barrier cost vs 1x" true
     (u.Exec.barrier_cycles = 9.0 *. f.Exec.barrier_cycles)

@@ -7,6 +7,7 @@ module Schedule = Lf_core.Schedule
 module Partition = Lf_core.Partition
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
+module Sim = Lf_machine.Sim
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -38,7 +39,10 @@ let test_simulation_preserves_semantics () =
     (fun p ->
       let reference = Interp.run p in
       let layout = Partition.contiguous p.Ir.decls in
-      let r = Exec.run_fused ~layout ~machine:Machine.convex ~nprocs:3 ~strip:4 p in
+      let r =
+        Exec.run_opts Exec.default_opts
+          (Sim.fused ~layout ~machine:Machine.convex ~nprocs:3 ~strip:4 p)
+      in
       check bool "store equals reference" true
         (Interp.equal reference r.Exec.store))
     [
@@ -50,13 +54,19 @@ let test_simulation_preserves_semantics () =
 let test_refs_counted () =
   (* the tiny chain does 1 read + 1 write per iteration per nest *)
   let p = Tutil.chain_program ~lo:0 ~hi:9 [ [ 0 ]; [ 0 ] ] in
-  let r = Exec.run_unfused ~machine:Machine.convex ~nprocs:1 p in
+  let r =
+    Exec.run_opts Exec.default_opts
+      (Sim.unfused ~machine:Machine.convex ~nprocs:1 p)
+  in
   check int "4 refs per iteration total" 40 r.Exec.total_refs
 
 let test_cold_misses_match_footprint () =
   (* streaming a fresh array: cold misses = lines touched *)
   let p = Tutil.chain_program ~lo:0 ~hi:511 [ [ 0 ] ] in
-  let r = Exec.run_unfused ~machine:Machine.convex ~nprocs:1 p in
+  let r =
+    Exec.run_opts Exec.default_opts
+      (Sim.unfused ~machine:Machine.convex ~nprocs:1 p)
+  in
   (* two arrays of 512 elements (read a0, write a1): 8B elements, 64B
      lines -> 64 lines each; a0/a1 have extent 515 (halo), same lines *)
   check bool "cold misses close to footprint" true
@@ -68,8 +78,13 @@ let test_fusion_reduces_misses_big_data () =
   let layout = Partition.cache_partitioned
       ~cache:{ Partition.capacity = machine.Machine.cache.Lf_cache.Cache.capacity;
                line = 64; assoc = 2 } p.Ir.decls in
-  let u = Exec.run_unfused ~layout ~machine ~nprocs:1 p in
-  let f = Exec.run_fused ~layout ~machine ~nprocs:1 ~strip:8 p in
+  let u =
+    Exec.run_opts Exec.default_opts (Sim.unfused ~layout ~machine ~nprocs:1 p)
+  in
+  let f =
+    Exec.run_opts Exec.default_opts
+      (Sim.fused ~layout ~machine ~nprocs:1 ~strip:8 p)
+  in
   check bool "fused has fewer misses" true
     (f.Exec.total_misses < u.Exec.total_misses);
   check bool "fused is faster" true (f.Exec.cycles < u.Exec.cycles)
@@ -80,16 +95,25 @@ let test_partitioning_beats_contiguous () =
   let p = Lf_kernels.Ll18.program ~n:128 () in
   let machine = Machine.convex in
   let cache = { Partition.capacity = 1024 * 1024; line = 64; assoc = 1 } in
-  let cont = Exec.run_fused ~layout:(Partition.padded ~pad:0 p.Ir.decls)
-      ~machine ~nprocs:2 ~strip:8 p in
-  let part = Exec.run_fused ~layout:(Partition.cache_partitioned ~cache p.Ir.decls)
-      ~machine ~nprocs:2 ~strip:8 p in
+  let cont =
+    Exec.run_opts Exec.default_opts
+      (Sim.fused ~layout:(Partition.padded ~pad:0 p.Ir.decls) ~machine ~nprocs:2
+         ~strip:8 p)
+  in
+  let part =
+    Exec.run_opts Exec.default_opts
+      (Sim.fused ~layout:(Partition.cache_partitioned ~cache p.Ir.decls)
+         ~machine ~nprocs:2 ~strip:8 p)
+  in
   check bool "partitioned far fewer misses" true
     (part.Exec.total_misses * 2 < cont.Exec.total_misses)
 
 let test_proc0_misses () =
   let p = Lf_kernels.Jacobi.program ~n:64 () in
-  let r = Exec.run_unfused ~machine:Machine.convex ~nprocs:4 p in
+  let r =
+    Exec.run_opts Exec.default_opts
+      (Sim.unfused ~machine:Machine.convex ~nprocs:4 p)
+  in
   check int "proc0 field" r.Exec.proc_misses.(0) (Exec.proc0_misses r);
   check int "per-proc misses sum" r.Exec.total_misses
     (Array.fold_left ( + ) 0 r.Exec.proc_misses)
@@ -98,8 +122,12 @@ let test_barrier_count () =
   (* unfused K nests -> K-1 barriers; fused -> 1 *)
   let p = Lf_kernels.Ll18.program ~n:24 () in
   let m = Machine.convex in
-  let u = Exec.run_unfused ~machine:m ~nprocs:2 p in
-  let f = Exec.run_fused ~machine:m ~nprocs:2 ~strip:4 p in
+  let u =
+    Exec.run_opts Exec.default_opts (Sim.unfused ~machine:m ~nprocs:2 p)
+  in
+  let f =
+    Exec.run_opts Exec.default_opts (Sim.fused ~machine:m ~nprocs:2 ~strip:4 p)
+  in
   let bc = Machine.barrier_cost m ~nprocs:2 in
   check (Alcotest.float 1e-6) "unfused barriers" (2.0 *. bc) u.Exec.barrier_cycles;
   check (Alcotest.float 1e-6) "fused barrier" bc f.Exec.barrier_cycles
@@ -125,8 +153,9 @@ let test_padding_changes_misses () =
   let p = Lf_kernels.Ll18.program ~n:64 () in
   let machine = Machine.convex in
   let run pad =
-    (Exec.run_fused ~layout:(Partition.padded ~pad p.Ir.decls) ~machine
-       ~nprocs:2 ~strip:8 p).Exec.total_misses
+    (Exec.run_opts Exec.default_opts
+       (Sim.fused ~layout:(Partition.padded ~pad p.Ir.decls) ~machine ~nprocs:2
+          ~strip:8 p)).Exec.total_misses
   in
   let ms = List.map run [ 0; 1; 3; 5 ] in
   check bool "padding matters" true
@@ -135,8 +164,12 @@ let test_padding_changes_misses () =
 let test_parallel_execution_time_shrinks () =
   let p = Lf_kernels.Calc.program ~n:96 () in
   let layout = Partition.contiguous p.Ir.decls in
-  let t1 = (Exec.run_unfused ~layout ~machine:Machine.ksr2 ~nprocs:1 p).Exec.cycles in
-  let t4 = (Exec.run_unfused ~layout ~machine:Machine.ksr2 ~nprocs:4 p).Exec.cycles in
+  let cycles nprocs =
+    (Exec.run_opts Exec.default_opts
+       (Sim.unfused ~layout ~machine:Machine.ksr2 ~nprocs p))
+      .Exec.cycles
+  in
+  let t1 = cycles 1 and t4 = cycles 4 in
   check bool "4 procs faster than 1" true (t4 < t1);
   check bool "speedup at most 4x-ish" true (t1 /. t4 < 4.5)
 

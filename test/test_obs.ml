@@ -14,6 +14,7 @@ module Schedule = Lf_core.Schedule
 module Partition = Lf_core.Partition
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
+module Sim = Lf_machine.Sim
 module Cache = Lf_cache.Cache
 module Obs = Lf_obs.Obs
 
@@ -57,9 +58,15 @@ let check_observer_free ?(mode = Exec.Full) ~machine (p : Ir.program) sched =
         }
       p.Ir.decls
   in
-  let bare = Exec.run ~mode ~layout ~machine sched in
+  let bare =
+    Exec.run_opts Exec.default_opts
+      (Sim.of_schedule ~mode ~layout ~machine sched)
+  in
   let sink = Obs.create () in
-  let obs = Exec.run ~sink ~mode ~layout ~machine sched in
+  let obs =
+    Exec.run_opts (Exec.opts ~sink ())
+      (Sim.of_schedule ~mode ~layout ~machine sched)
+  in
   let t = Obs.totals sink in
   let ok_store = Interp.equal bare.Exec.store obs.Exec.store in
   let ok_result =
@@ -158,8 +165,9 @@ let run_alias layout_of =
   let p = aliasing_program 128 in
   let sink = Obs.create () in
   let r =
-    Exec.run ~sink ~layout:(layout_of p) ~machine:tiny_machine
-      (Schedule.unfused ~nprocs:1 p)
+    Exec.run_opts (Exec.opts ~sink ())
+      (Sim.of_schedule ~layout:(layout_of p) ~machine:tiny_machine
+         (Schedule.unfused ~nprocs:1 p))
   in
   (sink, r)
 
@@ -204,8 +212,9 @@ let test_trace_json () =
   let p = Tutil.chain_program ~lo:3 ~hi:40 [ [ 0 ]; [ -1; 1 ] ] in
   let sink = Obs.create ~layout:"partitioned" () in
   let _ =
-    Exec.run ~sink ~machine:Machine.convex ~steps:2
-      (Schedule.fused ~nprocs:2 ~strip:8 p)
+    Exec.run_opts (Exec.opts ~sink ())
+      (Sim.of_schedule ~machine:Machine.convex ~steps:2
+         (Schedule.fused ~nprocs:2 ~strip:8 p))
   in
   let json = Obs.trace_json sink in
   let count_sub sub =
@@ -237,8 +246,9 @@ let test_phase_cycles () =
   let p = Tutil.chain_program ~lo:3 ~hi:40 [ [ 0 ]; [ -1; 1 ] ] in
   let sink = Obs.create () in
   let r =
-    Exec.run ~sink ~machine:Machine.ksr2
-      (Schedule.fused ~nprocs:2 ~strip:8 p)
+    Exec.run_opts (Exec.opts ~sink ())
+      (Sim.of_schedule ~machine:Machine.ksr2
+         (Schedule.fused ~nprocs:2 ~strip:8 p))
   in
   let pc = Obs.phase_proc_cycles sink in
   Array.iteri

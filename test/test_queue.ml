@@ -5,8 +5,8 @@
      duplicates collapse, repeats land in e_queued_before, terminal
      failures are never retried;
    - draining N workers — in-process domains or forked processes —
-     leaves the store bit-identical to a serial Batch.run of the same
-     mix (the queue moves work, never changes it);
+     leaves the store bit-identical to a serial Batch.run_with of the
+     same mix (the queue moves work, never changes it);
    - a worker that dies mid-task loses its lease after the ttl and the
      task is re-run by someone else; a stolen lease re-publishing an
      identical entry is harmless (content-addressed idempotence);
@@ -21,6 +21,7 @@ module Exec = Lf_machine.Exec
 module Sim = Lf_machine.Sim
 module Batch = Lf_batch.Batch
 module Store = Lf_batch.Batch.Store
+module Run_opts = Lf_batch.Run_opts
 module Queue = Lf_queue.Queue
 module Sweep = Lf_queue.Sweep
 
@@ -51,11 +52,18 @@ let results_identical (a : Exec.result) (b : Exec.result) =
   && a.Exec.tlb_misses = b.Exec.tlb_misses
   && a.Exec.proc_misses = b.Exec.proc_misses
 
+(* In-process workers compute serially, like the reference below. *)
+let serial = Run_opts.make ~jobs:1 ()
+
 (* Serial reference: compute [reqs] inline (jobs=1) into a fresh store
    and return it. *)
 let serial_store reqs =
   let store = scratch_store () in
-  let _, summary = Batch.run ~store ~jobs:1 reqs in
+  let _, summary =
+    Batch.run_with
+      (Run_opts.with_store (Store_in (Some (Store.dir store))) serial)
+      reqs
+  in
   Alcotest.(check int) "serial reference all computed" 0 summary.Batch.failed;
   store
 
@@ -76,7 +84,7 @@ let test_enqueue_misses () =
   let reqs = mini_mix () in
   let warm = List.hd reqs in
   (* pre-warm one entry: it must be skipped as a hit *)
-  ignore (Store.add store warm (Exec.run_request warm));
+  ignore (Store.add store warm (Exec.run_opts Exec.default_opts warm));
   let st = Queue.enqueue_misses q ~store (reqs @ [ warm ]) in
   let unique =
     List.length
@@ -124,7 +132,7 @@ let prop_enqueue_drain =
         + st.Queue.e_failed_before + st.Queue.e_uncacheable
         <> st.Queue.e_unique
       then Test.fail_report "outcome counts do not partition e_unique";
-      let ws = Queue.worker ~wid:"prop" ~jobs:1 ~store q in
+      let ws = Queue.worker ~wid:"prop" ~opts:serial ~store q in
       if ws.Queue.w_failed > 0 then Test.fail_report "drain failed";
       let reference = serial_store reqs in
       if not (store_matches ~reference store reqs) then
@@ -143,7 +151,7 @@ let test_domain_workers_identical () =
   let workers =
     Array.init 3 (fun i ->
         Domain.spawn (fun () ->
-            Queue.worker ~wid:(Printf.sprintf "d%d" i) ~jobs:1 ~store q))
+            Queue.worker ~wid:(Printf.sprintf "d%d" i) ~opts:serial ~store q))
   in
   let stats = Array.map Domain.join workers in
   Alcotest.(check int) "no worker failures" 0
@@ -232,7 +240,7 @@ let test_dead_worker_reclaim () =
     (Queue.reclaim_expired ~ttl:60.0 q);
   Alcotest.(check int) "task pending again" 1 (Queue.status q).Queue.pending;
   (* a draining worker now completes the stolen task *)
-  let ws = Queue.worker ~wid:"rescuer" ~jobs:1 ~store q in
+  let ws = Queue.worker ~wid:"rescuer" ~opts:serial ~store q in
   Alcotest.(check int) "rescuer computed it" 1 ws.Queue.w_computed;
   Alcotest.(check bool) "store answers" true
     (Store.lookup store (List.hd reqs) <> None);
@@ -254,7 +262,7 @@ let test_steal_idempotent () =
   expire lease_a;
   Alcotest.(check int) "stolen" 1 (Queue.reclaim_expired ~ttl:60.0 q);
   (* thief b claims and completes *)
-  let ws = Queue.worker ~wid:"b" ~jobs:1 ~store q in
+  let ws = Queue.worker ~wid:"b" ~opts:serial ~store q in
   Alcotest.(check int) "b computed" 1 ws.Queue.w_computed;
   let first =
     match Store.lookup store req with
@@ -263,7 +271,10 @@ let test_steal_idempotent () =
   in
   (* the original owner finishes late: recomputes, republishes, tries
      to complete its long-gone lease *)
-  ignore (Batch.run_one ~store ~cold:true req);
+  ignore
+    (Batch.run_one_with
+       (Run_opts.make ~store:(Store_cold (Some (Store.dir store))) ())
+       req);
   (match try Sys.remove lease_a; `Removed with Sys_error _ -> `Gone with
   | `Removed -> Alcotest.fail "stolen lease still existed"
   | `Gone -> ());
@@ -297,7 +308,7 @@ let test_failed_task_terminal () =
   in
   let st = Queue.enqueue_misses q ~store [ bad ] in
   Alcotest.(check int) "enqueued" 1 st.Queue.e_enqueued;
-  let ws = Queue.worker ~wid:"w" ~jobs:1 ~store q in
+  let ws = Queue.worker ~wid:"w" ~opts:serial ~store q in
   Alcotest.(check int) "failed" 1 ws.Queue.w_failed;
   Alcotest.(check int) "computed none" 0 ws.Queue.w_computed;
   let qs = Queue.status q in

@@ -2,40 +2,16 @@
    consumers.
 
    Contracts under test:
-   - the legacy optional-argument surfaces (Batch.run, Batch.run_one,
-     Exec.run_request) are bit-identical to the Run_opts forms
-     (Batch.run_with, Batch.run_one_with, Exec.run_opts) — the
-     deprecation promise in their docs;
    - store policies resolve to memoised handles (one handle per root,
-     physical equality), cold policies recompute but still persist;
+     physical equality);
    - of_env parses the documented variables and rejects malformed
      values with an error naming the variable, never a silent
      fallback. *)
 
-module Ir = Lf_ir.Ir
-module Partition = Lf_core.Partition
-module Machine = Lf_machine.Machine
-module Exec = Lf_machine.Exec
 module Sim = Lf_machine.Sim
 module Batch = Lf_batch.Batch
 module Store = Lf_batch.Batch.Store
 module Run_opts = Lf_batch.Run_opts
-module Obs = Lf_obs.Obs
-
-let results_identical (a : Exec.result) (b : Exec.result) =
-  a.Exec.cycles = b.Exec.cycles
-  && a.Exec.phase_cycles = b.Exec.phase_cycles
-  && a.Exec.barrier_cycles = b.Exec.barrier_cycles
-  && a.Exec.total_refs = b.Exec.total_refs
-  && a.Exec.total_misses = b.Exec.total_misses
-  && a.Exec.cold_misses = b.Exec.cold_misses
-  && a.Exec.tlb_misses = b.Exec.tlb_misses
-  && a.Exec.proc_misses = b.Exec.proc_misses
-
-let sample_request ?(mode = Sim.Run_compressed) ?(n = 32) ?(nprocs = 3) () =
-  let p = Lf_kernels.Ll18.program ~n () in
-  let layout = Partition.contiguous p.Ir.decls in
-  Sim.fused ~strip:6 ~layout ~mode ~machine:Machine.convex ~nprocs p
 
 let scratch_dir () =
   let path = Filename.temp_file "lf_run_opts_test" "" in
@@ -75,101 +51,6 @@ let test_defaults_and_combinators () =
     && Tutil.contains s "jobs=3"
     && Tutil.contains s "timeout=2.5s")
 
-(* ------------------------------------------------------------------ *)
-(* Exec.run_opts vs run_request *)
-
-let test_exec_opts_equal_run_request () =
-  let req = sample_request () in
-  let legacy = Exec.run_request ~jobs:2 req in
-  let via_opts =
-    Exec.run_opts (Run_opts.exec (Run_opts.with_jobs 2 Run_opts.default)) req
-  in
-  Alcotest.(check bool) "run_opts bit-identical to run_request" true
-    (results_identical legacy via_opts);
-  (* the sink carries over through the lowering *)
-  let s1 = Obs.create () and s2 = Obs.create () in
-  let _ = Exec.run_request ~sink:s1 req in
-  let _ =
-    Exec.run_opts
-      (Run_opts.exec (Run_opts.with_sink s2 Run_opts.default))
-      req
-  in
-  Alcotest.(check bool) "sink totals agree" true
-    ((Obs.totals s1).Obs.t_refs = (Obs.totals s2).Obs.t_refs
-    && (Obs.totals s1).Obs.t_refs > 0)
-
-(* ------------------------------------------------------------------ *)
-(* Batch.run_with vs Batch.run, cold then warm *)
-
-let test_run_with_equals_run () =
-  let reqs =
-    [ sample_request ~n:24 (); sample_request ~n:28 (); sample_request ~n:24 () ]
-  in
-  let dir_new = scratch_dir () and dir_old = scratch_dir () in
-  let opts =
-    Run_opts.make ~store:(Run_opts.Store_in (Some dir_new)) ~jobs:2 ()
-  in
-  let legacy_store = Store.open_ ~dir:dir_old () in
-  let check_pass label (o1, s1) (o2, s2) =
-    Alcotest.(check int) (label ^ ": computed agree") s1.Batch.computed
-      s2.Batch.computed;
-    Alcotest.(check int) (label ^ ": hits agree") s1.Batch.hits s2.Batch.hits;
-    Alcotest.(check int) (label ^ ": unique agree") s1.Batch.unique
-      s2.Batch.unique;
-    Array.iteri
-      (fun i (a : Batch.outcome) ->
-        let b : Batch.outcome = o2.(i) in
-        Alcotest.(check bool) (label ^ ": from_store agrees") a.Batch.from_store
-          b.Batch.from_store;
-        Alcotest.(check bool) (label ^ ": results bit-identical") true
-          (results_identical
-             (Result.get_ok a.Batch.result)
-             (Result.get_ok b.Batch.result)))
-      o1
-  in
-  (* cold stores: everything computes *)
-  check_pass "cold"
-    (Batch.run_with opts reqs)
-    (Batch.run ~store:legacy_store ~jobs:2 reqs);
-  (* warm stores: everything hits *)
-  let warm_new = Batch.run_with opts reqs in
-  check_pass "warm" warm_new (Batch.run ~store:legacy_store ~jobs:2 reqs);
-  Alcotest.(check int) "warm pass is all hits" 2 (snd warm_new).Batch.hits;
-  (* a cold policy recomputes against the warmed store *)
-  let _, cold_sum = Batch.run_with (Run_opts.cold opts) reqs in
-  Alcotest.(check int) "cold policy recomputes" 2 cold_sum.Batch.computed;
-  Alcotest.(check int) "cold policy takes no hits" 0 cold_sum.Batch.hits;
-  (match Batch.store_of_opts opts with
-  | Some st -> ignore (Store.clear st)
-  | None -> Alcotest.fail "warm policy resolved no store");
-  ignore (Store.clear legacy_store)
-
-let test_run_one_with_equals_run_one () =
-  let req = sample_request ~n:24 () in
-  let dir_new = scratch_dir () and dir_old = scratch_dir () in
-  let opts = Run_opts.make ~store:(Run_opts.Store_in (Some dir_new)) () in
-  let legacy_store = Store.open_ ~dir:dir_old () in
-  let a = Batch.run_one_with opts req in
-  let b = Batch.run_one ~store:legacy_store req in
-  Alcotest.(check bool) "run_one_with bit-identical to run_one" true
-    (results_identical a b);
-  (* both persisted: warm repeats hit *)
-  let h0 = Batch.hit_count () in
-  let a' = Batch.run_one_with opts req in
-  let b' = Batch.run_one ~store:legacy_store req in
-  Alcotest.(check int) "both warm repeats hit" (h0 + 2) (Batch.hit_count ());
-  Alcotest.(check bool) "warm results bit-identical" true
-    (results_identical a' a && results_identical b' b);
-  (* Store_off never persists *)
-  let dir_off = scratch_dir () in
-  let _ = Batch.run_one_with Run_opts.(without_store default) req in
-  Alcotest.(check bool) "Store_off leaves no entries" true
-    (not (Sys.file_exists dir_off) || Sys.readdir dir_off = [||]);
-  (match Batch.store_of_opts opts with
-  | Some st -> ignore (Store.clear st)
-  | None -> Alcotest.fail "warm policy resolved no store");
-  ignore (Store.clear legacy_store)
-
 let test_store_of_opts_memoised () =
   Alcotest.(check bool) "Store_off resolves to None" true
     (Batch.store_of_opts Run_opts.(without_store default) = None);
@@ -194,16 +75,28 @@ let test_store_of_opts_memoised () =
 (* ------------------------------------------------------------------ *)
 (* of_env *)
 
+(* restores the previous values (empty = unset), so a CI-provided
+   LF_JOBS survives for the suites that run after this one *)
 let with_env pairs f =
+  let saved =
+    List.map (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:""))
+      pairs
+  in
   List.iter (fun (k, v) -> Unix.putenv k v) pairs;
   Fun.protect
-    ~finally:(fun () -> List.iter (fun (k, _) -> Unix.putenv k "") pairs)
+    ~finally:(fun () -> List.iter (fun (k, v) -> Unix.putenv k v) saved)
     f
 
 let test_of_env () =
   (* a clean environment returns the base unchanged *)
   with_env
-    [ ("LF_ENGINE", ""); ("LF_TIMEOUT_S", ""); ("LF_STORE", ""); ("LF_COLD", "") ]
+    [
+      ("LF_ENGINE", "");
+      ("LF_TIMEOUT_S", "");
+      ("LF_STORE", "");
+      ("LF_COLD", "");
+      ("LF_JOBS", "");
+    ]
     (fun () ->
       match Run_opts.of_env () with
       | Ok t -> Alcotest.(check bool) "clean env = default" true (t = Run_opts.default)
@@ -225,13 +118,23 @@ let test_of_env () =
         Alcotest.(check bool) "LF_STORE=off wins over LF_COLD" true
           (t.Run_opts.store = Run_opts.Store_off)
       | Error e -> Alcotest.fail e);
-  (* jobs is deliberately not read from the environment here *)
-  with_env [ ("LF_ENGINE", "full") ] (fun () ->
+  (* LF_JOBS is validated, never read into [jobs]: Exec.default_jobs
+     stays the one source of its value *)
+  with_env [ ("LF_ENGINE", "full"); ("LF_JOBS", "3") ] (fun () ->
       match Run_opts.of_env ~base:(Run_opts.make ~jobs:7 ()) () with
       | Ok t ->
         Alcotest.(check bool) "base fields survive" true
           (t.Run_opts.jobs = Some 7 && t.Run_opts.engine = Sim.Full)
       | Error e -> Alcotest.fail e);
+  List.iter
+    (fun v ->
+      with_env [ ("LF_JOBS", v) ] (fun () ->
+          match Run_opts.of_env () with
+          | Ok t ->
+            Alcotest.(check bool) ("LF_JOBS=" ^ v ^ " leaves jobs unset") true
+              (t.Run_opts.jobs = None)
+          | Error e -> Alcotest.fail e))
+    [ "auto"; "0"; " 2 " ];
   (* malformed values are errors naming the variable *)
   let expect_error var pairs =
     with_env pairs (fun () ->
@@ -245,18 +148,14 @@ let test_of_env () =
   expect_error "LF_TIMEOUT_S" [ ("LF_TIMEOUT_S", "-3") ];
   expect_error "LF_TIMEOUT_S" [ ("LF_TIMEOUT_S", "soon") ];
   expect_error "LF_STORE" [ ("LF_STORE", "maybe") ];
-  expect_error "LF_COLD" [ ("LF_COLD", "2") ]
+  expect_error "LF_COLD" [ ("LF_COLD", "2") ];
+  expect_error "LF_JOBS" [ ("LF_JOBS", "abc") ];
+  expect_error "LF_JOBS" [ ("LF_JOBS", "-2") ]
 
 let suite =
   [
     Alcotest.test_case "defaults, combinators, pp" `Quick
       test_defaults_and_combinators;
-    Alcotest.test_case "Exec.run_opts equals run_request" `Quick
-      test_exec_opts_equal_run_request;
-    Alcotest.test_case "Batch.run_with equals Batch.run" `Quick
-      test_run_with_equals_run;
-    Alcotest.test_case "Batch.run_one_with equals run_one" `Quick
-      test_run_one_with_equals_run_one;
     Alcotest.test_case "store_of_opts memoises per root" `Quick
       test_store_of_opts_memoised;
     Alcotest.test_case "of_env parsing and errors" `Quick test_of_env;

@@ -11,7 +11,7 @@
      the offending connection gets a Rejected (or is dropped), and the
      next connection is served normally;
    - results served over the socket are bit-identical to a local
-     Exec.run_request of the same request, for concurrent clients on
+     Exec.run_opts of the same request, for concurrent clients on
      separate domains;
    - a saturating burst is answered with Overloaded, not an unbounded
      queue, and the DRR scheduler interleaves a one-job client with a
@@ -231,7 +231,7 @@ let results_identical (a : Exec.result) (b : Exec.result) =
 
 let sample_result =
   lazy
-    (Exec.run_request
+    (Exec.run_opts Exec.default_opts
        (Sim.fused ~mode:Sim.Miss_only ~machine:Machine.convex ~nprocs:4
           ~strip:8
           (Lf_kernels.Jacobi.program ~n:24 ())))
@@ -370,19 +370,20 @@ let counter_scopes () =
   let dir = Filename.temp_file "lf_scope" "" in
   Sys.remove dir;
   let store = Batch.Store.open_ ~dir () in
+  let opts = Lf_batch.Run_opts.(make ~store:(Store_in (Some dir)) ()) in
   let req =
     Sim.fused ~mode:Sim.Miss_only ~machine:Machine.convex ~nprocs:4 ~strip:8
       (Lf_kernels.Jacobi.program ~n:24 ())
   in
   let s1 = Batch.Counters.create () and s2 = Batch.Counters.create () in
   let h0 = Batch.hit_count () and c0 = Batch.computed_count () in
-  ignore (Batch.run_one ~store ~scope:s1 req);
+  ignore (Batch.run_one_with ~scope:s1 opts req);
   Alcotest.(check (pair int int)) "scope1: first run computes" (0, 1)
     (Batch.Counters.hits s1, Batch.Counters.computed s1);
   (match Batch.try_store ~scope:s2 store req with
   | Some _ -> ()
   | None -> Alcotest.fail "expected a store hit");
-  ignore (Batch.run_one ~store ~scope:s2 req);
+  ignore (Batch.run_one_with ~scope:s2 opts req);
   Alcotest.(check (pair int int)) "scope2 counts its own traffic" (2, 0)
     (Batch.Counters.hits s2, Batch.Counters.computed s2);
   Alcotest.(check (pair int int)) "scope1 unaffected by scope2" (0, 1)
@@ -505,7 +506,7 @@ let server_bit_identity () =
     (fun () ->
       let reqs = test_requests () in
       (* local references, bit-exact by the engine's determinism *)
-      let refs = List.map Exec.run_request reqs in
+      let refs = List.map (Exec.run_opts Exec.default_opts) reqs in
       (* three concurrent client domains, each its own connection and
          full pass over the request list; first computes, rest hit *)
       let client_pass i =

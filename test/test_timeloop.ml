@@ -7,6 +7,7 @@ module Interp = Lf_ir.Interp
 module Schedule = Lf_core.Schedule
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
+module Sim = Lf_machine.Sim
 module Cache = Lf_cache.Cache
 
 let check = Alcotest.check
@@ -41,7 +42,8 @@ let test_exec_steps_semantics () =
   let p = Lf_kernels.Jacobi.program ~n:24 () in
   let reference = Interp.run ~steps:5 p in
   let r =
-    Exec.run_fused ~machine:Machine.convex ~nprocs:2 ~strip:4 ~steps:5 p
+    Exec.run_opts Exec.default_opts
+      (Sim.fused ~machine:Machine.convex ~nprocs:2 ~strip:4 ~steps:5 p)
   in
   check bool "simulated 5 steps" true (Interp.equal reference r.Exec.store)
 
@@ -50,11 +52,13 @@ let test_steps_amortize_cold_misses () =
      than linearly with steps *)
   let p = Lf_kernels.Jacobi.program ~n:64 () in
   let m1 =
-    (Exec.run_fused ~machine:Machine.convex ~nprocs:1 ~strip:8 ~steps:1 p)
+    (Exec.run_opts Exec.default_opts
+       (Sim.fused ~machine:Machine.convex ~nprocs:1 ~strip:8 ~steps:1 p))
       .Exec.total_misses
   in
   let m8 =
-    (Exec.run_fused ~machine:Machine.convex ~nprocs:1 ~strip:8 ~steps:8 p)
+    (Exec.run_opts Exec.default_opts
+       (Sim.fused ~machine:Machine.convex ~nprocs:1 ~strip:8 ~steps:8 p))
       .Exec.total_misses
   in
   check bool "warm steps nearly free" true (m8 < m1 * 2)
@@ -62,8 +66,14 @@ let test_steps_amortize_cold_misses () =
 let test_steps_barrier_accounting () =
   let p = Lf_kernels.Jacobi.program ~n:24 () in
   let m = Machine.convex in
-  let r1 = Exec.run_fused ~machine:m ~nprocs:2 ~strip:4 ~steps:1 p in
-  let r3 = Exec.run_fused ~machine:m ~nprocs:2 ~strip:4 ~steps:3 p in
+  let r1 =
+    Exec.run_opts Exec.default_opts
+      (Sim.fused ~machine:m ~nprocs:2 ~strip:4 ~steps:1 p)
+  in
+  let r3 =
+    Exec.run_opts Exec.default_opts
+      (Sim.fused ~machine:m ~nprocs:2 ~strip:4 ~steps:3 p)
+  in
   let bc = Machine.barrier_cost m ~nprocs:2 in
   (* 2 phases per step: steps*2 - 1 barriers *)
   check (Alcotest.float 1e-6) "1 step" (1.0 *. bc) r1.Exec.barrier_cycles;
@@ -76,22 +86,30 @@ let test_tlb_counts () =
   (* touching far more pages than TLB entries must miss repeatedly *)
   let p = Lf_kernels.Ll18.program ~n:256 () in
   (* 9 arrays x 512KB = 4.6MB >> 120 pages *)
-  let r = Exec.run_unfused ~machine:Machine.convex ~nprocs:1 p in
+  let r =
+    Exec.run_opts Exec.default_opts
+      (Sim.unfused ~machine:Machine.convex ~nprocs:1 p)
+  in
   check bool "tlb misses counted" true (r.Exec.tlb_misses > 1000)
 
 let test_tlb_disabled () =
   let m = { Machine.convex with Machine.tlb = None } in
   let p = Lf_kernels.Jacobi.program ~n:32 () in
-  let r = Exec.run_unfused ~machine:m ~nprocs:1 p in
+  let r =
+    Exec.run_opts Exec.default_opts (Sim.unfused ~machine:m ~nprocs:1 p)
+  in
   check int "no tlb, no misses" 0 r.Exec.tlb_misses
 
 let test_tlb_penalty_slows () =
   let p = Lf_kernels.Ll18.program ~n:128 () in
-  let with_tlb = Exec.run_unfused ~machine:Machine.convex ~nprocs:1 p in
+  let with_tlb =
+    Exec.run_opts Exec.default_opts
+      (Sim.unfused ~machine:Machine.convex ~nprocs:1 p)
+  in
   let without =
-    Exec.run_unfused
-      ~machine:{ Machine.convex with Machine.tlb = None }
-      ~nprocs:1 p
+    Exec.run_opts Exec.default_opts
+      (Sim.unfused ~machine:{ Machine.convex with Machine.tlb = None }
+         ~nprocs:1 p)
   in
   check bool "tlb penalty costs cycles" true
     (with_tlb.Exec.cycles > without.Exec.cycles)

@@ -89,8 +89,14 @@ let test_simulated_peeling_beats_wavefront_1d () =
   let machine = Lf_machine.Machine.convex in
   let wf = Wavefront.schedule ~tile:16 ~nprocs:4 p in
   let sp = Schedule.fused ~strip:16 ~nprocs:4 p in
-  let r_wf = Lf_machine.Exec.run ~machine wf in
-  let r_sp = Lf_machine.Exec.run ~machine sp in
+  let r_wf =
+    Lf_machine.Exec.run_opts Lf_machine.Exec.default_opts
+      (Lf_machine.Sim.of_schedule ~machine wf)
+  in
+  let r_sp =
+    Lf_machine.Exec.run_opts Lf_machine.Exec.default_opts
+      (Lf_machine.Sim.of_schedule ~machine sp)
+  in
   check bool "wavefront result correct" true
     (Interp.equal r_wf.Lf_machine.Exec.store r_sp.Lf_machine.Exec.store);
   check bool "peeling at least 2x faster" true

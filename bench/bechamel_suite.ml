@@ -1,8 +1,8 @@
 (* Bechamel wall-clock micro-benchmarks: one Test.make per table/figure
-   driver (at reduced sizes, so each fits a bechamel quota) plus the
-   native domain-runtime kernels.  These measure the cost of this
+   driver (at reduced sizes, so each fits a bechamel quota) plus native
+   execution through Lf_native.  These measure the cost of this
    implementation itself -- analysis, derivation, fusion, simulation --
-   and the real fused-vs-unfused wall clock of the native kernels.
+   and the real fused-vs-unfused wall clock of native LL18.
    The tune/* pair measures the autotuner's exact cost tier cold
    (simulation) versus memoised (fingerprint lookup), and the run
    prints an explicit verdict that the memoised path is cheaper. *)
@@ -11,7 +11,8 @@ open Bechamel
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
 module Derive = Lf_core.Derive
-module N = Lf_kernels.Native
+module Schedule = Lf_core.Schedule
+module Native = Lf_native.Native
 module Pool = Lf_parallel.Pool
 module TCost = Lf_tune.Cost
 module TSpace = Lf_tune.Space
@@ -31,7 +32,7 @@ let test_multigraph =
 let test_fused_schedule =
   let p = Lf_kernels.Calc.program ~n:n_small () in
   Test.make ~name:"f22/schedule-calc"
-    (Staged.stage (fun () -> Lf_core.Schedule.fused ~nprocs:4 ~strip:8 p))
+    (Staged.stage (fun () -> Schedule.fused ~nprocs:4 ~strip:8 p))
 
 let sim_test name machine kernel =
   Test.make ~name
@@ -92,37 +93,30 @@ let test_cache_run_throughput =
     (Staged.stage (fun () ->
          Lf_cache.Cache.access_run c ~addr:0 ~stride:8 ~n:100_000))
 
-(* Native kernels: sequential, and fused with a pool of workers. *)
-let native_tests =
-  let n = 256 in
-  let seq =
-    Test.make ~name:"native/ll18-seq"
+(* Native LL18 through Lf_native, unfused and fused, on each pool.
+   Pools, schedules and buffers are built outside the timed closure;
+   each run resets the buffers first, so every run computes from the
+   same initial arrays. *)
+let native_tests pools =
+  let p = Lf_kernels.Ll18.program ~n:256 () in
+  let test name pool sched =
+    let bufs = Native.create p in
+    Test.make
+      ~name:(Printf.sprintf "native/ll18-%s-w%d" name (Pool.size pool))
       (Staged.stage (fun () ->
-           let a = N.Ll18_native.create n in
-           N.Ll18_native.sequential a;
-           N.Ll18_native.checksum a))
+           Native.reset bufs;
+           Native.run_into ~pool bufs sched))
   in
-  let fused_w workers =
-    Test.make ~name:(Printf.sprintf "native/ll18-fused-w%d" workers)
-      (Staged.stage (fun () ->
-           let pool = Pool.create workers in
-           let a = N.Ll18_native.create n in
-           N.Ll18_native.fused pool a;
-           Pool.shutdown pool;
-           N.Ll18_native.checksum a))
-  in
-  let unfused_w workers =
-    Test.make ~name:(Printf.sprintf "native/ll18-unfused-w%d" workers)
-      (Staged.stage (fun () ->
-           let pool = Pool.create workers in
-           let a = N.Ll18_native.create n in
-           N.Ll18_native.unfused pool a;
-           Pool.shutdown pool;
-           N.Ll18_native.checksum a))
-  in
-  [ seq; unfused_w 1; fused_w 1; unfused_w 2; fused_w 2 ]
+  List.concat_map
+    (fun pool ->
+      let nprocs = Pool.size pool in
+      [
+        test "unfused" pool (Schedule.unfused ~nprocs p);
+        test "fused" pool (Schedule.fused ~nprocs ~strip:64 p);
+      ])
+    pools
 
-let all_tests =
+let all_tests pools =
   Test.make_grouped ~name:"loopfusion"
     ([
        test_t2_derivation;
@@ -137,7 +131,7 @@ let all_tests =
        test_tune_exact_cold;
        test_tune_exact_memo;
      ]
-    @ native_tests)
+    @ native_tests pools)
 
 let run (_ : Util.cfg) =
   Util.header "Bechamel micro-benchmarks (wall clock of this implementation)";
@@ -148,7 +142,11 @@ let run (_ : Util.cfg) =
   let cfg_b =
     Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None ()
   in
-  let raw = Benchmark.all cfg_b instances all_tests in
+  let raw =
+    Pool.with_pool 1 @@ fun w1 ->
+    Pool.with_pool 2 @@ fun w2 ->
+    Benchmark.all cfg_b instances (all_tests [ w1; w2 ])
+  in
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] in
   Util.pr "%-40s %16s@." "benchmark" "ns/run";

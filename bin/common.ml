@@ -170,8 +170,17 @@ let machine_of = function
   | "convex" -> Ok Machine.convex
   | m -> Error ("unknown machine " ^ m)
 
+(* --jobs wins.  Without it a set LF_JOBS must parse: Exec.default_jobs
+   would read a malformed value as serial.  This is the one LF_JOBS
+   check of every subcommand that runs work locally. *)
 let apply_jobs = function
-  | None -> Ok ()
+  | None -> (
+    match Sys.getenv_opt "LF_JOBS" with
+    | None | Some "" -> Ok ()
+    | Some s -> (
+      match Exec.jobs_of_string s with
+      | Ok _ -> Ok ()
+      | Error e -> Error ("LF_JOBS=" ^ e)))
   | Some s -> (
     match Exec.jobs_of_string s with
     | Ok j -> Ok (Exec.set_default_jobs j)
@@ -232,10 +241,11 @@ module Run_opts = Lf_batch.Run_opts
    tune, profile, sweep, trace, transform, pipeline) shares: --jobs/
    --engine/--cold/--store-dir/--timeout lowered onto a Run_opts.t,
    environment defaults (LF_ENGINE, LF_STORE, LF_COLD, LF_TIMEOUT_S;
-   LF_JOBS validated) applied first so explicit flags win.  --jobs is
-   applied as a side effect through Exec.set_default_jobs — the
-   options' [jobs] field stays [None] so every consumer (batch, serve,
-   queue, bench) keeps deferring to the same source of truth. *)
+   LF_JOBS validated by apply_jobs) applied first so explicit flags
+   win.  --jobs is applied as a side effect through
+   Exec.set_default_jobs — the options' [jobs] field stays [None] so
+   every consumer (batch, serve, queue, bench) keeps deferring to the
+   same source of truth. *)
 
 let engine_opt_arg =
   let doc =

@@ -658,7 +658,7 @@ let objective_arg =
 (* Tune every fusible sequence of an application model; the never-fused
    remainder runs unfused under both configurations, so it contributes
    the same cycles to each side of the comparison. *)
-let tune_app ~driver ~objective ?store ~machine ~nprocs (app : Apps.t) =
+let tune_app ~driver ~objective ~opts ~machine ~nprocs (app : Apps.t) =
   let cache = TCost.create_cache () in
   Fmt.pr "autotuning %s on %s, %d processors (%d fusible sequences)@."
     app.Apps.app_name machine.Machine.mname nprocs
@@ -668,7 +668,7 @@ let tune_app ~driver ~objective ?store ~machine ~nprocs (app : Apps.t) =
   let tuned = ref 0.0 and dflt = ref 0.0 and failed = ref None in
   List.iter
     (fun (seq : Ir.program) ->
-      match Tune.tune ~cache ?store ~driver ~objective ~machine ~nprocs seq with
+      match Tune.tune ~cache ~opts ~driver ~objective ~machine ~nprocs seq with
       | Error m -> if !failed = None then failed := Some (seq.Ir.pname, m)
       | Ok o ->
         tuned := !tuned +. o.TSearch.best_cost.TCost.e_cycles;
@@ -697,13 +697,8 @@ let tune_app ~driver ~objective ?store ~machine ~nprocs (app : Apps.t) =
               ~cache:(Lf_tune.Space.cache_shape machine)
               rem.Ir.decls
           in
-          let policy =
-            match store with
-            | None -> Run_opts.Store_off
-            | Some st -> Run_opts.Store_in (Some (Batch.Store.dir st))
-          in
           let r =
-            Batch.run_one_with (Run_opts.make ~store:policy ())
+            Batch.run_one_with opts
               (Sim.unfused ~layout ~mode:Sim.Run_compressed ~machine ~nprocs
                  rem)
           in
@@ -738,7 +733,6 @@ let tune kernel size machine_name procs search objective quick opts_result =
       match Tune.objective_of_string objective with
       | Error m -> `Error (false, m)
       | Ok objective -> (
-      let store = Batch.store_of_opts opts in
       let app =
         match kernel with
         | "tomcatv" ->
@@ -758,7 +752,7 @@ let tune kernel size machine_name procs search objective quick opts_result =
       in
       match app with
       | Some app ->
-        tune_app ~driver ~objective ?store ~machine ~nprocs:procs app
+        tune_app ~driver ~objective ~opts ~machine ~nprocs:procs app
       | None ->
         let n =
           match size with Some n -> n | None -> if quick then 64 else 128
@@ -771,7 +765,7 @@ let tune kernel size machine_name procs search objective quick opts_result =
               | TSearch.Cycles -> ""
               | TSearch.Wallclock -> ", objective: measured wall-clock");
             match
-              Tune.tune ~depth ?store ~driver ~objective ~machine
+              Tune.tune ~depth ~opts ~driver ~objective ~machine
                 ~nprocs:procs p
             with
             | Error m -> `Error (false, m)

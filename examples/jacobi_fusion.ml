@@ -1,6 +1,7 @@
 (* Multidimensional shift-and-peel on the Jacobi pair (paper Figures 15
-   and 16), plus a real parallel run of the hand-fused native kernel on
-   OCaml 5 domains.
+   and 16), plus a real parallel run of the fused schedule on OCaml 5
+   domains.  Exits nonzero if either execution differs from the
+   reference interpreter.
 
      dune exec examples/jacobi_fusion.exe *)
 
@@ -10,7 +11,8 @@ module Derive = Lf_core.Derive
 module Schedule = Lf_core.Schedule
 module Codegen = Lf_core.Codegen
 module Pool = Lf_parallel.Pool
-module N = Lf_kernels.Native
+module Native = Lf_native.Native
+module Bench_timer = Lf_native.Bench_timer
 
 let () =
   let n = 128 in
@@ -28,22 +30,28 @@ let () =
   (* Execute on a 3x2 processor grid and verify. *)
   let sched = Schedule.fused ~grid:[| 3; 2 |] ~nprocs:6 ~strip:16 ~derive:d p in
   let st = Schedule.execute ~order:Schedule.Reversed sched in
+  let grid_ok = Interp.equal (Interp.run p) st in
   Fmt.pr "2-D fused execution on a 3x2 grid matches the reference: %b@.@."
-    (Interp.equal (Interp.run p) st);
+    grid_ok;
 
-  (* Native domains runtime: the same transformation hand-applied to
-     float arrays, one barrier, then the peeled iterations. *)
+  (* Native domains runtime: the same fused schedule shape lowered to
+     real loops, one domain per processor, one barrier before the
+     peeled iterations. *)
   let workers = min 4 (Domain.recommended_domain_count ()) in
-  let pool = Pool.create workers in
-  let seq = N.Jacobi_native.create n in
-  N.Jacobi_native.sequential seq;
-  let fused = N.Jacobi_native.create n in
-  let t0 = Unix.gettimeofday () in
-  N.Jacobi_native.fused ~strip:32 pool fused;
-  let dt = Unix.gettimeofday () -. t0 in
-  Pool.shutdown pool;
-  Fmt.pr
-    "Native fused kernel on %d domain(s): %.2f ms, bit-identical to the \
-     sequential run: %b@."
-    workers (1000.0 *. dt)
-    (N.Jacobi_native.equal seq fused)
+  let native = Schedule.fused ~nprocs:workers ~strip:32 ~derive:d p in
+  let native_ok =
+    Pool.with_pool workers (fun pool ->
+        match Native.verify ~pool native with
+        | Error m ->
+          Fmt.pr "Native fused schedule on %d domain(s) is NOT bit-identical \
+                  to the reference interpreter: %s@." workers m;
+          false
+        | Ok () ->
+          let t = Native.measure ~pool native in
+          Fmt.pr
+            "Native fused schedule on %d domain(s): %.2f ms, bit-identical \
+             to the reference interpreter: true@."
+            workers (1000.0 *. t.Native.t_measure.Bench_timer.min_s);
+          true)
+  in
+  if not (grid_ok && native_ok) then exit 1

@@ -1,7 +1,6 @@
 module Sim = Lf_machine.Sim
 module Exec = Lf_machine.Exec
 module Pool = Lf_parallel.Pool
-module Obs = Lf_obs.Obs
 
 (* Process-wide hit/miss counters, shared by every store handle and
    batch: harnesses (bench --json, lfc) report deltas of these.  A
@@ -363,8 +362,6 @@ type summary = {
   wall_s : float;
 }
 
-let count_opt sink name = Option.iter (fun s -> Obs.count s name) sink
-
 let try_store ?scope st req =
   match Store.lookup st req with
   | Some res ->
@@ -413,7 +410,7 @@ let compute_one ?store ?scope ?timeout_s req =
 let run_with ?pool ?scope (o : Run_opts.t) requests =
   let t0 = Unix.gettimeofday () in
   let store = store_of_opts o and cold = Run_opts.is_cold o in
-  let sink = o.Run_opts.sink and timeout_s = o.Run_opts.timeout_s in
+  let timeout_s = o.Run_opts.timeout_s in
   let reqs = Array.of_list requests in
   let n = Array.length reqs in
   let digests = Array.map Sim.digest reqs in
@@ -427,7 +424,6 @@ let run_with ?pool ?scope (o : Run_opts.t) requests =
   let uniques = ref [] in
   Array.iteri (fun i j -> if i = j then uniques := i :: !uniques) rep;
   let uniques = Array.of_list (List.rev !uniques) in
-  for _ = 1 to n do count_opt sink "batch.requests" done;
   (* answer what the store can; collect the rest for computation *)
   let results :
       ((Exec.result, failure) Stdlib.result * bool * float) option array =
@@ -444,7 +440,6 @@ let run_with ?pool ?scope (o : Run_opts.t) requests =
       match hit with
       | Some res ->
           note_hit scope;
-          count_opt sink "batch.hit";
           results.(i) <- Some (Ok res, true, 0.0)
       | None -> to_compute := i :: !to_compute)
     uniques;
@@ -466,13 +461,6 @@ let run_with ?pool ?scope (o : Run_opts.t) requests =
        | None ->
            Pool.with_pool jobs (fun p ->
                Pool.dynamic_for p ~lo:0 ~hi:(m - 1) job));
-  Array.iter
-    (fun i ->
-      match results.(i) with
-      | Some ((Ok _, false, _)) -> count_opt sink "batch.computed"
-      | Some ((Error _, _, _)) -> count_opt sink "batch.failed"
-      | _ -> ())
-    to_compute;
   let outcomes =
     Array.init n (fun i ->
         let result, from_store, wall_s =

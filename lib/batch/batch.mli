@@ -189,11 +189,10 @@ val run_with :
     after the join — the error-propagation contract of
     {!Lf_parallel.Pool.run}, lifted to batches.
 
-    The options' [sink] receives progress as named counters
-    ([batch.requests], [batch.hit], [batch.computed], [batch.failed]);
-    it is {e not} attached to the individual simulations (see the
-    cache-key discipline above — use {!run_one_with} for an
-    instrumented run). *)
+    The options' [sink] is ignored: it is {e not} attached to the
+    individual simulations (see the cache-key discipline above — use
+    {!run_one_with} for an instrumented run), and the batch's counts
+    come back in the {!summary}. *)
 
 val results_exn : outcome array -> Exec.result array
 (** The batch's results, raising [Failure] on the first (in request

@@ -102,10 +102,11 @@ val of_env : ?base:t -> unit -> (t, string) Stdlib.result
     [LF_ENGINE] (["full"]/["miss-only"]/["runs"]), [LF_COLD] (["1"] or
     ["true"] makes the store policy cold), [LF_STORE] (["off"]
     disables persistence), [LF_TIMEOUT_S] (float seconds).  [LF_JOBS]
-    is only {e validated} here ({!Lf_machine.Exec.jobs_of_string}): its
-    value already feeds {!Lf_machine.Exec.default_jobs}, which
-    {!jobs_or_default} consults, so the [jobs] field stays [base]'s —
-    one source of truth.  The store root likewise stays [None]:
+    is not read here: its value already feeds
+    {!Lf_machine.Exec.default_jobs}, which {!jobs_or_default} consults,
+    so the [jobs] field stays [base]'s — one source of truth — and the
+    CLI checks it once, for every subcommand, before it runs anything.
+    The store root likewise stays [None]:
     [$LF_CACHE_DIR] flows through {!Batch.Store.default_dir}.  A
     malformed value is an [Error] naming the variable, never a silent
     fallback. *)

@@ -68,9 +68,9 @@ let proc0_misses r = r.proc_misses.(0)
 (* ------------------------------------------------------------------ *)
 (* Host parallelism: default job count and the shared domain pool      *)
 
-(* The one parser of the jobs vocabulary, shared by LF_JOBS, the CLI's
-   --jobs and Run_opts.of_env: a positive integer, or "auto"/"0" for the
-   host's recommended domain count. *)
+(* The one parser of the jobs vocabulary, shared by LF_JOBS and the
+   CLI's --jobs: a positive integer, or "auto"/"0" for the host's
+   recommended domain count. *)
 let jobs_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "auto" | "0" -> Ok (Domain.recommended_domain_count ())
@@ -81,7 +81,7 @@ let jobs_of_string s =
       Error (Printf.sprintf "%s: expected a positive integer or auto" s))
 
 (* LF_JOBS environment default.  Unset or unparsable means serial here;
-   the CLI rejects a malformed value through Run_opts.of_env. *)
+   the CLI rejects a malformed value before it runs anything. *)
 let jobs_of_env () =
   match Sys.getenv_opt "LF_JOBS" with
   | None -> 1

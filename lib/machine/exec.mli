@@ -62,9 +62,9 @@ val proc0_misses : result -> int
     execution" measure (Figures 18, 20). *)
 
 val jobs_of_string : string -> (int, string) Stdlib.result
-(** The jobs vocabulary shared by [LF_JOBS], the CLI's [--jobs] and
-    [Lf_batch.Run_opts.of_env]: a positive integer, or ["auto"]/["0"]
-    for [Domain.recommended_domain_count ()]. *)
+(** The jobs vocabulary shared by [LF_JOBS] and the CLI's [--jobs]: a
+    positive integer, or ["auto"]/["0"] for
+    [Domain.recommended_domain_count ()]. *)
 
 val default_jobs : unit -> int
 (** The job count used when [o_jobs] is [None]: the last value passed

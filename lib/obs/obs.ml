@@ -73,8 +73,6 @@ type sink = {
   mutable s_barrier_cycles : float;
   mutable s_events : event list;  (* newest first *)
   mutable s_clock : float;  (* global simulated time for the trace *)
-  named : (string, int) Hashtbl.t;  (* runtime event counters *)
-  named_m : Mutex.t;
 }
 
 let create ?(layout = "unspecified") () =
@@ -90,15 +88,13 @@ let create ?(layout = "unspecified") () =
     s_barrier_cycles = 0.0;
     s_events = [];
     s_clock = 0.0;
-    named = Hashtbl.create 8;
-    named_m = Mutex.create ();
   }
 
 let set_layout t layout = t.s_layout <- layout
 
 (* One sink records one simulated run: attaching resets all counters
-   and the event stream (the layout tag and named runtime counters are
-   kept — they belong to the caller, not to a particular run). *)
+   and the event stream (the layout tag is kept — it belongs to the
+   caller, not to a particular run). *)
 let attach t ~machine ~nprocs ~arrays ~labels ~remote_fraction =
   let nphases = Array.length labels in
   let narrays = Array.length arrays in
@@ -271,21 +267,6 @@ let barrier t ~step ~after_phase ~cost =
 
 let barrier_cycles t = t.s_barrier_cycles
 let events t = List.rev t.s_events
-
-(* ------------------------------------------------------------------ *)
-(* Named runtime counters (lf_parallel: pool regions, barrier waits)    *)
-
-let count t name =
-  Mutex.lock t.named_m;
-  Hashtbl.replace t.named name
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.named name));
-  Mutex.unlock t.named_m
-
-let named_counts t =
-  Mutex.lock t.named_m;
-  let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.named [] in
-  Mutex.unlock t.named_m;
-  List.sort compare l
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                          *)

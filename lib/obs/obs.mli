@@ -10,7 +10,11 @@
     simulator takes its original path, and with one attached the
     simulated state (stores, cycle counts, cache contents) is
     bit-identical — see the observer-effect property in
-    test/test_obs.ml. *)
+    test/test_obs.ml.
+
+    A sink observes one simulated run and nothing else: the host-side
+    runtime (domain pools, barriers, the batch layer) reports no
+    counters here. *)
 
 (** {1 Counters} *)
 
@@ -140,14 +144,6 @@ val barrier : sink -> step:int -> after_phase:int -> cost:float -> unit
 val barrier_cycles : sink -> float
 val events : sink -> event list
 (** Events in chronological order. *)
-
-(** {1 Named runtime counters}
-
-    Thread-safe string-keyed counters for the runtime layer
-    (lf_parallel pool regions, barrier waits). *)
-
-val count : sink -> string -> unit
-val named_counts : sink -> (string * int) list
 
 (** {1 Aggregation and reporting} *)
 

@@ -24,7 +24,6 @@ type t = {
   mutable failure : exn option;  (* first exception of the region *)
   mutable shutdown : bool;
   mutable domains : unit Domain.t list;
-  sink : Lf_obs.Obs.sink option;  (* named runtime counters *)
 }
 
 (* Run one region's job, funnelling any exception into [t.failure]
@@ -62,7 +61,7 @@ let worker_loop t w =
     end
   done
 
-let create ?sink nworkers =
+let create nworkers =
   if nworkers <= 0 then invalid_arg "Pool.create: nworkers <= 0";
   let t =
     {
@@ -76,7 +75,6 @@ let create ?sink nworkers =
       failure = None;
       shutdown = false;
       domains = [];
-      sink;
     }
   in
   t.domains <-
@@ -90,9 +88,6 @@ let size t = t.nworkers
    caller.  Returns when all workers have finished (join); re-raises
    the region's first exception, if any, after the join. *)
 let run t f =
-  (match t.sink with
-  | None -> ()
-  | Some s -> Lf_obs.Obs.count s "pool.region");
   if t.nworkers = 1 then f 0
   else begin
     Mutex.lock t.m;
@@ -113,36 +108,11 @@ let run t f =
     match failure with None -> () | Some e -> raise e
   end
 
-(* Inclusive block [lo..hi] of worker [w] out of [n]: balanced blocking,
-   sizes differ by at most one (matches Schedule.block). *)
-let block ~lo ~hi ~n ~w =
-  let len = hi - lo + 1 in
-  let size = len / n in
-  let rem = len mod n in
-  let bstart = lo + (size * w) + min w rem in
-  let bend = bstart + size - 1 + (if w < rem then 1 else 0) in
-  (bstart, bend)
-
-(* Blocked parallel for: [f i] for lo <= i <= hi, contiguous blocks. *)
-let parallel_for t ~lo ~hi f =
-  run t (fun w ->
-      let bs, be = block ~lo ~hi ~n:t.nworkers ~w in
-      for i = bs to be do
-        f i
-      done)
-
-(* Blocked parallel for over ranges: [f bs be] per worker. *)
-let parallel_for_blocks t ~lo ~hi f =
-  run t (fun w ->
-      let bs, be = block ~lo ~hi ~n:t.nworkers ~w in
-      if bs <= be then f bs be)
-
 (* Self-scheduled parallel for: workers repeatedly claim the next
    [chunk] indices from a shared atomic counter until the range is
-   drained.  Unlike the static [parallel_for] blocking, load imbalance
-   (e.g. a simulated schedule whose peeled-tail processors carry far
-   less work than the fused-phase ones) costs at most one chunk of
-   idle time per worker. *)
+   drained.  Unlike static blocking, load imbalance (e.g. a simulated
+   schedule whose peeled-tail processors carry far less work than the
+   fused-phase ones) costs at most one chunk of idle time per worker. *)
 let dynamic_for ?(chunk = 1) t ~lo ~hi f =
   if chunk <= 0 then invalid_arg "Pool.dynamic_for: chunk <= 0";
   if lo <= hi then
@@ -172,6 +142,6 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-let with_pool ?sink nworkers f =
-  let t = create ?sink nworkers in
+let with_pool nworkers f =
+  let t = create nworkers in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -1,7 +1,12 @@
 (** Persistent domain pool with fork-join parallel regions: one worker
     per (simulated) processor, the caller doubling as worker 0, with a
-    join after every region — the execution model of the paper's
-    block-scheduled parallel loops.
+    join after every region.
+
+    Every parallel layer runs on it: [Lf_native.Native] runs one region
+    per execution, worker [w] playing processor [w] with a
+    {!Spin_barrier} between phases; the simulator and the batch layer
+    drain processors or requests with {!dynamic_for}.  Static block
+    bounds are [Lf_core.Schedule.block]'s, not this module's.
 
     Pools are meant to be reused: one pool serves every phase and step
     of a simulated run (and every candidate of an autotuning search)
@@ -9,10 +14,8 @@
 
 type t
 
-val create : ?sink:Lf_obs.Obs.sink -> int -> t
-(** [create n] spawns [n - 1] domains (plus the caller).  [sink]
-    receives named runtime counters (["pool.region"] per parallel
-    region). *)
+val create : int -> t
+(** [create n] spawns [n - 1] domains (plus the caller). *)
 
 val size : t -> int
 
@@ -21,14 +24,6 @@ val run : t -> (int -> unit) -> unit
     finished (join).  Exception-safe: a raising closure never strands
     the join; the region's first exception is re-raised on the caller
     after all workers have finished. *)
-
-val block : lo:int -> hi:int -> n:int -> w:int -> int * int
-(** Balanced contiguous block of worker [w] (sizes differ by <= 1). *)
-
-val parallel_for : t -> lo:int -> hi:int -> (int -> unit) -> unit
-
-val parallel_for_blocks : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [f bs be] once per worker with its block bounds. *)
 
 val dynamic_for : ?chunk:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
 (** Self-scheduled (work-stealing) parallel for: workers claim the next
@@ -40,6 +35,6 @@ val dynamic_for : ?chunk:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
 val shutdown : t -> unit
 (** Terminate and join the worker domains. *)
 
-val with_pool : ?sink:Lf_obs.Obs.sink -> int -> (t -> 'a) -> 'a
+val with_pool : int -> (t -> 'a) -> 'a
 (** [with_pool n f] runs [f] with a fresh pool of [n] workers and
     shuts it down afterwards, even if [f] raises. *)

@@ -1,18 +1,15 @@
 (** Busy-waiting barrier for latency-sensitive native execution.
 
-    {!Barrier} parks waiters on a condition variable — right for
-    simulation workers that may hold a phase for milliseconds, wrong
-    for native kernel execution where a barrier separates phases that
-    can be microseconds long and a futex round trip would dominate the
-    measurement.  A spin barrier keeps arrivals on-core: waiters poll a
-    generation counter with {!Domain.cpu_relax} until the last arrival
-    flips it.
+    In native execution a barrier separates phases that can be
+    microseconds long, so parking waiters on a condition variable
+    would let a futex round trip dominate the measurement.  A spin
+    barrier keeps arrivals on-core: waiters poll a generation counter
+    with {!Domain.cpu_relax} until the last arrival flips it.
 
-    The party count is fixed at creation (native runs know their
-    processor count up front; only the simulator's serve path resizes
-    barriers).  No observation sink either — this barrier exists to be
-    timed, and counting arrivals would perturb exactly what the
-    measurement harness is trying to read. *)
+    The party count is fixed at creation: native runs know their
+    processor count up front.  No observation sink either — this
+    barrier exists to be timed, and counting arrivals would perturb
+    exactly what the measurement harness is trying to read. *)
 
 type t
 

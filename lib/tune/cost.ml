@@ -147,7 +147,8 @@ let analytic ?depth ?calibration ~machine ~nprocs p cand =
 (* ------------------------------------------------------------------ *)
 (* Exact tier                                                          *)
 
-let exact ?depth ?steps ?cache ?store ~machine ~nprocs p cand =
+let exact ?depth ?steps ?cache ?(opts = Run_opts.(without_store default))
+    ~machine ~nprocs p cand =
   let eval () =
     match Space.build ?depth ~machine ~nprocs p cand with
     | Error _ as e -> e
@@ -156,17 +157,12 @@ let exact ?depth ?steps ?cache ?store ~machine ~nprocs p cand =
          so the run-compressed address-stream engine is
          semantics-preserving here.  Routing through the batch layer
          makes every exact evaluation a content-addressed request:
-         with [store], evaluations persist across processes. *)
+         under a store policy, evaluations persist across processes. *)
       let req =
         Lf_machine.Sim.of_schedule ~layout ?steps
           ~mode:Lf_machine.Sim.Run_compressed ~machine sched
       in
-      let policy =
-        match store with
-        | None -> Run_opts.Store_off
-        | Some st -> Run_opts.Store_in (Some (Batch.Store.dir st))
-      in
-      let r = Batch.run_one_with (Run_opts.make ~store:policy ()) req in
+      let r = Batch.run_one_with opts req in
       Ok
         {
           e_cycles = r.Exec.cycles;
@@ -205,7 +201,7 @@ type measured = {
 
 (* In-memory only, by design: measured wall-clock is host- and
    moment-dependent, so it must never reach the content-addressed
-   on-disk store (DESIGN §7/§11) — hence no [?store] anywhere below,
+   on-disk store (DESIGN §7/§11) — hence no [?opts] anywhere below,
    and nothing here knows how to serialise a [measured]. *)
 type mcache = {
   mtbl : (string, measured) Hashtbl.t;

@@ -16,11 +16,11 @@
     re-evaluating a configuration is a hash lookup.  Cold evaluations
     use the simulator's [Run_compressed] engine (cycle and miss counts
     are bit-identical to a full run; only the store, which the tuner
-    never reads, is skipped), inherit its host-domain parallelism
-    ({!Lf_machine.Exec.default_jobs}), and are issued as
-    content-addressed requests through
-    {!Lf_batch.Batch.run_one_with}, so an on-disk
-    {!Lf_batch.Batch.Store} persists them across processes. *)
+    never reads, is skipped) and are issued as content-addressed
+    requests through {!Lf_batch.Batch.run_one_with}, so the caller's
+    {!Lf_batch.Run_opts.t} decides their host-domain parallelism and
+    whether an on-disk {!Lf_batch.Batch.Store} answers and persists
+    them across processes. *)
 
 type exact = {
   e_cycles : float;  (** simulated execution time *)
@@ -85,18 +85,22 @@ val exact :
   ?depth:int ->
   ?steps:int ->
   ?cache:cache ->
-  ?store:Lf_batch.Batch.Store.t ->
+  ?opts:Lf_batch.Run_opts.t ->
   machine:Lf_machine.Machine.config ->
   nprocs:int ->
   Lf_ir.Ir.program ->
   Space.candidate ->
   (exact, string) result
 (** Simulated cycles of a candidate, memoised in [cache] when given.
-    Cold evaluations go through {!Lf_batch.Batch.run_one_with} as
-    content-addressed {!Lf_machine.Sim.request}s, so with [store] they
-    are also answered from (and persisted to) the on-disk result store —
-    the in-memory [cache] short-circuits repeats within a search, the
-    [store] short-circuits repeats across processes. *)
+    Cold evaluations go through {!Lf_batch.Batch.run_one_with} under
+    [opts] (default: {!Lf_batch.Run_opts.default} with
+    {!Lf_batch.Run_opts.Store_off}) as content-addressed
+    {!Lf_machine.Sim.request}s.  The in-memory [cache] short-circuits
+    repeats within a search; the options' store policy decides whether
+    the on-disk result store short-circuits repeats across processes
+    ([Store_in]), is bypassed but still written ([Store_cold]), or is
+    not used at all ([Store_off]).  The engine is always
+    [Run_compressed], whatever [opts] names. *)
 
 (** {1 Measured tier}
 
@@ -106,7 +110,7 @@ val exact :
     on the host's cores under {!Lf_native.Bench_timer}'s
     warmup/min-of-k/outlier policy.
 
-    Deliberately {e unlike} {!exact}, there is no [?store] parameter
+    Deliberately {e unlike} {!exact}, there is no [?opts] parameter
     and never will be: wall-clock depends on the host, its load, its
     thermals — replaying a measurement from the content-addressed
     [_lf_cache/] would serve stale time as truth (DESIGN §7/§11).  The

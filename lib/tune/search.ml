@@ -42,13 +42,13 @@ type outcome = {
   exact_evals : int;
 }
 
-let run ?depth ?steps ?cache ?store ?calibration ?(driver = default_driver)
+let run ?depth ?steps ?cache ?opts ?calibration ?(driver = default_driver)
     ?(objective = Cycles) ?policy ?sweep ~machine ~nprocs p =
   let cache = match cache with Some c -> c | None -> Cost.create_cache () in
   (* Wallclock: one pool for the whole search, so domain spawn/join
      happens once, not once per candidate (and never inside a timed
      region).  The in-memory measurement memo lives and dies with this
-     call — measured time is never written to [store]. *)
+     call — measured time is never written to the store. *)
   let mcache = Cost.create_mcache () in
   let pool =
     match objective with
@@ -61,7 +61,7 @@ let run ?depth ?steps ?cache ?store ?calibration ?(driver = default_driver)
   let ex c =
     incr evals;
     match objective with
-    | Cycles -> Cost.exact ?depth ?steps ~cache ?store ~machine ~nprocs p c
+    | Cycles -> Cost.exact ?depth ?steps ~cache ?opts ~machine ~nprocs p c
     | Wallclock -> (
       match
         Cost.measured ?depth ?steps ?policy ~cache:mcache ?pool ~machine

@@ -63,7 +63,7 @@ val run :
   ?depth:int ->
   ?steps:int ->
   ?cache:Cost.cache ->
-  ?store:Lf_batch.Batch.Store.t ->
+  ?opts:Lf_batch.Run_opts.t ->
   ?calibration:Cost.calibration ->
   ?driver:driver ->
   ?objective:objective ->
@@ -75,14 +75,15 @@ val run :
   (outcome, string) result
 (** Search the space for [p] on [machine] with [nprocs] processors.
     [calibration] feeds measured conflict factors to the analytic
-    pruning tier (see {!Cost.calibration_of_sink}); [store] persists
-    exact-tier evaluations on disk across searches and processes
-    (see {!Cost.exact}).  [Error] only when not even the unfused
-    fallback can be simulated (e.g. more processors than
+    pruning tier (see {!Cost.calibration_of_sink}); [opts] are the
+    options exact-tier evaluations run under, whose store policy can
+    persist them on disk across searches and processes (see
+    {!Cost.exact}; default: no store).  [Error] only when not even the
+    unfused fallback can be simulated (e.g. more processors than
     iterations).
 
     [objective] (default [Cycles]) selects the deciding tier.  Under
-    [Wallclock], [policy] overrides the measurement policy, [store] is
+    [Wallclock], [policy] overrides the measurement policy, [opts] is
     ignored (measured time is never persisted — DESIGN §7/§11), one
     domain pool of [nprocs] workers is created up front and reused for
     every candidate so spawn/join never lands in a timed region, and

@@ -13,7 +13,7 @@ val tune :
   ?depth:int ->
   ?steps:int ->
   ?cache:Cost.cache ->
-  ?store:Lf_batch.Batch.Store.t ->
+  ?opts:Lf_batch.Run_opts.t ->
   ?calibration:Cost.calibration ->
   ?driver:Search.driver ->
   ?objective:Search.objective ->

@@ -5,8 +5,8 @@
    single bit, and its counters must sum exactly to the aggregates
    [Exec.result] already reports.  Both are checked here on random
    stencil chains for both machine presets, plus directed tests for
-   cross-array conflict attribution, the Chrome trace exporter, the
-   calibration hook, and the lf_parallel named counters. *)
+   cross-array conflict attribution, the Chrome trace exporter and the
+   calibration hook. *)
 
 module Ir = Lf_ir.Ir
 module Interp = Lf_ir.Interp
@@ -283,21 +283,6 @@ let test_calibration () =
     (Cost.conflict_factor ~calibration ~machine:tiny_machine
        (cand (Space.Partitioned { assoc_aware = true })))
 
-(* lf_parallel pushes named counters through the same sink. *)
-let test_named_counters () =
-  let module Pool = Lf_parallel.Pool in
-  let module Barrier = Lf_parallel.Barrier in
-  let sink = Obs.create () in
-  let pool = Pool.create ~sink 4 in
-  let bar = Barrier.create ~sink 4 in
-  Pool.run pool (fun _ -> Barrier.wait bar);
-  Pool.run pool (fun _ -> Barrier.wait bar);
-  Pool.shutdown pool;
-  Alcotest.(check (list (pair string int)))
-    "pool regions and barrier waits counted"
-    [ ("barrier.wait", 8); ("pool.region", 2) ]
-    (Obs.named_counts sink)
-
 let suite =
   [
     Tutil.to_alcotest (prop_observer_free ~machine:Machine.ksr2 "ksr2");
@@ -317,5 +302,4 @@ let suite =
     Alcotest.test_case "chrome trace export" `Quick test_trace_json;
     Alcotest.test_case "phase cycles and labels" `Quick test_phase_cycles;
     Alcotest.test_case "calibration from profile" `Quick test_calibration;
-    Alcotest.test_case "parallel named counters" `Quick test_named_counters;
   ]

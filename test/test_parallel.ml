@@ -1,10 +1,7 @@
-(* Tests for the domains runtime: pool, blocked loops, barrier, and the
-   native kernels (validated bit-for-bit against the IR reference). *)
+(* Tests for the domains runtime: the pool and the spin barrier.  Native
+   execution on them is pinned bit-for-bit by test_native.ml. *)
 
 module Pool = Lf_parallel.Pool
-module Barrier = Lf_parallel.Barrier
-module N = Lf_kernels.Native
-module Interp = Lf_ir.Interp
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -35,53 +32,6 @@ let test_pool_single_worker () =
           check int "worker 0" 0 w;
           hit := true);
       check bool "ran" true !hit)
-
-let test_parallel_for_coverage () =
-  with_pool 4 (fun pool ->
-      let seen = Array.make 100 0 in
-      Pool.parallel_for pool ~lo:5 ~hi:94 (fun i ->
-          seen.(i) <- seen.(i) + 1);
-      for i = 0 to 99 do
-        check int
-          (Printf.sprintf "index %d" i)
-          (if i >= 5 && i <= 94 then 1 else 0)
-          seen.(i)
-      done)
-
-let test_block_coverage () =
-  List.iter
-    (fun (lo, hi, n) ->
-      let expected = ref lo in
-      for w = 0 to n - 1 do
-        let bs, be = Pool.block ~lo ~hi ~n ~w in
-        check int "contiguous" !expected bs;
-        expected := be + 1
-      done;
-      check int "full" (hi + 1) !expected)
-    [ (0, 99, 7); (1, 510, 56); (3, 8, 2) ]
-
-let test_barrier_phases () =
-  (* all participants finish phase 1 before any enters phase 2 *)
-  with_pool 4 (fun pool ->
-      let b = Barrier.create 4 in
-      let phase1 = Atomic.make 0 in
-      let violations = Atomic.make 0 in
-      Pool.run pool (fun _ ->
-          Atomic.incr phase1;
-          Barrier.wait b;
-          if Atomic.get phase1 <> 4 then Atomic.incr violations);
-      check int "no violations" 0 (Atomic.get violations))
-
-let test_barrier_reusable () =
-  with_pool 3 (fun pool ->
-      let b = Barrier.create 3 in
-      let count = Atomic.make 0 in
-      Pool.run pool (fun _ ->
-          for _ = 1 to 20 do
-            Barrier.wait b;
-            Atomic.incr count
-          done);
-      check int "60 crossings" 60 (Atomic.get count))
 
 let test_with_pool_value_and_cleanup () =
   let v = Pool.with_pool 3 (fun pool -> Pool.size pool * 7) in
@@ -134,32 +84,6 @@ let test_dynamic_for_imbalanced () =
           ignore (Atomic.fetch_and_add sum i));
       check int "sum of 1..60" 1830 (Atomic.get sum))
 
-let test_barrier_resize_releases_stale_waiters () =
-  (* two waiters parked on a 3-party barrier: shrinking to 2 must
-     release them instead of deadlocking the stale generation *)
-  let b = Barrier.create 3 in
-  let released = Atomic.make 0 in
-  let ds =
-    List.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            Barrier.wait b;
-            Atomic.incr released))
-  in
-  while Atomic.get released = 0 && Barrier.parties b = 3 do
-    Domain.cpu_relax ();
-    if Atomic.get released = 0 then Barrier.resize b 2
-  done;
-  List.iter Domain.join ds;
-  check int "both waiters released" 2 (Atomic.get released);
-  check int "new party count" 2 (Barrier.parties b);
-  (* the resized barrier works for the new generation *)
-  with_pool 2 (fun pool ->
-      let crossings = Atomic.make 0 in
-      Pool.run pool (fun _ ->
-          Barrier.wait b;
-          Atomic.incr crossings);
-      check int "reusable after resize" 2 (Atomic.get crossings))
-
 (* ------------------------------------------------------------------ *)
 (* Spin barrier (lf_native's phase separator)                          *)
 
@@ -204,93 +128,18 @@ let test_spin_barrier_rejects_nonpositive () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for negative parties"
 
-let test_native_ll18_matches_ir () =
-  let n = 48 in
-  let a = N.Ll18_native.create n in
-  N.Ll18_native.sequential a;
-  let st = Interp.run (Lf_kernels.Ll18.program ~n ()) in
-  check bool "zr" true (Interp.find_array st "zr" = a.N.Ll18_native.zr);
-  check bool "zu" true (Interp.find_array st "zu" = a.N.Ll18_native.zu)
-
-let test_native_ll18_fused_parallel () =
-  let n = 64 in
-  let seq = N.Ll18_native.create n in
-  N.Ll18_native.sequential seq;
-  List.iter
-    (fun workers ->
-      with_pool workers (fun pool ->
-          let f = N.Ll18_native.create n in
-          N.Ll18_native.fused ~strip:7 pool f;
-          check bool
-            (Printf.sprintf "fused w=%d" workers)
-            true
-            (N.Ll18_native.equal seq f);
-          let u = N.Ll18_native.create n in
-          N.Ll18_native.unfused pool u;
-          check bool "unfused" true (N.Ll18_native.equal seq u)))
-    [ 1; 2; 3; 4 ]
-
-let test_native_jacobi_fused_parallel () =
-  let n = 50 in
-  let seq = N.Jacobi_native.create n in
-  N.Jacobi_native.sequential seq;
-  List.iter
-    (fun workers ->
-      with_pool workers (fun pool ->
-          let f = N.Jacobi_native.create n in
-          N.Jacobi_native.fused ~strip:5 pool f;
-          check bool
-            (Printf.sprintf "jacobi fused w=%d" workers)
-            true
-            (N.Jacobi_native.equal seq f)))
-    [ 1; 2; 4; 5 ]
-
-let test_native_jacobi_matches_ir () =
-  let n = 40 in
-  let t = N.Jacobi_native.create n in
-  N.Jacobi_native.sequential t;
-  let st = Interp.run (Lf_kernels.Jacobi.program ~n ()) in
-  check bool "a matches" true (Interp.find_array st "a" = t.N.Jacobi_native.a)
-
-let test_native_ll18_time_steps () =
-  let n = 40 and steps = 3 in
-  let f = N.Ll18_native.create n in
-  with_pool 3 (fun pool -> N.Ll18_native.fused_steps ~strip:5 ~steps pool f);
-  let st = Interp.run ~steps (Lf_kernels.Ll18.program ~n ()) in
-  check bool "3 fused steps = IR 3 steps" true
-    (Interp.find_array st "zr" = f.N.Ll18_native.zr
-    && Interp.find_array st "zz" = f.N.Ll18_native.zz)
-
-let test_checksums_differ_when_wrong () =
-  let a = N.Jacobi_native.create 16 in
-  let b = N.Jacobi_native.create 16 in
-  N.Jacobi_native.sequential a;
-  check bool "unequal before run" false (N.Jacobi_native.equal a b)
-
 let suite =
   [
     ("pool runs all workers", `Quick, test_pool_runs_all_workers);
     ("pool multiple regions", `Quick, test_pool_multiple_regions);
     ("pool single worker", `Quick, test_pool_single_worker);
-    ("parallel_for coverage", `Quick, test_parallel_for_coverage);
-    ("block coverage", `Quick, test_block_coverage);
-    ("barrier phases", `Quick, test_barrier_phases);
-    ("barrier reusable", `Quick, test_barrier_reusable);
     ("with_pool value and cleanup", `Quick, test_with_pool_value_and_cleanup);
     ("run re-raises worker exception", `Quick, test_run_exception_rejoins);
     ("dynamic_for coverage", `Quick, test_dynamic_for_coverage);
     ("dynamic_for imbalanced", `Quick, test_dynamic_for_imbalanced);
-    ("barrier resize releases stale waiters", `Quick,
-     test_barrier_resize_releases_stale_waiters);
     ("spin barrier phases", `Quick, test_spin_barrier_phases);
     ("spin barrier reusable", `Quick, test_spin_barrier_reusable);
     ("spin barrier single party", `Quick, test_spin_barrier_single_party);
     ("spin barrier rejects nonpositive", `Quick,
      test_spin_barrier_rejects_nonpositive);
-    ("native ll18 = IR", `Quick, test_native_ll18_matches_ir);
-    ("native ll18 fused parallel", `Quick, test_native_ll18_fused_parallel);
-    ("native jacobi fused parallel", `Quick, test_native_jacobi_fused_parallel);
-    ("native jacobi = IR", `Quick, test_native_jacobi_matches_ir);
-    ("native ll18 time steps", `Quick, test_native_ll18_time_steps);
-    ("checksums differ when wrong", `Quick, test_checksums_differ_when_wrong);
   ]

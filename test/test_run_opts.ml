@@ -118,8 +118,9 @@ let test_of_env () =
         Alcotest.(check bool) "LF_STORE=off wins over LF_COLD" true
           (t.Run_opts.store = Run_opts.Store_off)
       | Error e -> Alcotest.fail e);
-  (* LF_JOBS is validated, never read into [jobs]: Exec.default_jobs
-     stays the one source of its value *)
+  (* LF_JOBS is never read into [jobs]: Exec.default_jobs stays the one
+     source of its value, and the CLI's Common.apply_jobs its one check
+     (a malformed value is pinned to exit 124 in test/dune) *)
   with_env [ ("LF_ENGINE", "full"); ("LF_JOBS", "3") ] (fun () ->
       match Run_opts.of_env ~base:(Run_opts.make ~jobs:7 ()) () with
       | Ok t ->
@@ -149,8 +150,12 @@ let test_of_env () =
   expect_error "LF_TIMEOUT_S" [ ("LF_TIMEOUT_S", "soon") ];
   expect_error "LF_STORE" [ ("LF_STORE", "maybe") ];
   expect_error "LF_COLD" [ ("LF_COLD", "2") ];
-  expect_error "LF_JOBS" [ ("LF_JOBS", "abc") ];
-  expect_error "LF_JOBS" [ ("LF_JOBS", "-2") ]
+  (* the parser behind the CLI's LF_JOBS check *)
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) ("LF_JOBS=" ^ v ^ " rejected") true
+        (Result.is_error (Lf_machine.Exec.jobs_of_string v)))
+    [ "abc"; "-2" ]
 
 let suite =
   [

@@ -1,7 +1,8 @@
 (* Tests for the lf_tune autotuner: memo-cache behaviour of the exact
-   cost tier, determinism of the search drivers, the never-lose
-   guarantee against the paper-default configuration, and (QCheck) that
-   the analytic pruning tier never discards the exact-tier optimum. *)
+   cost tier, the store policy it runs under, determinism of the search
+   drivers, the never-lose guarantee against the paper-default
+   configuration, and (QCheck) that the analytic pruning tier never
+   discards the exact-tier optimum. *)
 
 module Ir = Lf_ir.Ir
 module Machine = Lf_machine.Machine
@@ -96,6 +97,69 @@ let test_budget_respected () =
   (* width 4 plus the always-evaluated reference *)
   check bool "beam width caps exact tier" true (o.Search.considered <= 5);
   check bool "space larger than beam" true (o.Search.space_size > 5)
+
+(* ------------------------------------------------------------------ *)
+(* Store path: the options' policy decides what the exact tier reads
+   from and writes to the on-disk result store                         *)
+
+module Batch = Lf_batch.Batch
+module Run_opts = Lf_batch.Run_opts
+
+let test_store_policies () =
+  let fresh_root () =
+    let path = Filename.temp_file "lf_tune_store" "" in
+    Sys.remove path;
+    path
+  in
+  let entries root =
+    (Batch.Store.stats (Batch.Store.open_ ~dir:root ())).Batch.Store.entries
+  in
+  let root = fresh_root () and unused = fresh_root () in
+  let p = ll18 48 in
+  (* a fresh memo cache per search, so every exact lookup reaches the
+     batch layer; returns the outcome, the cold evaluations issued,
+     and the simulations computed and store hits taken meanwhile *)
+  let search store =
+    let cache = Cost.create_cache () in
+    let c0 = Batch.computed_count () and h0 = Batch.hit_count () in
+    let o =
+      get
+        (Search.run ~cache ~opts:(Run_opts.make ~store ())
+           ~driver:(Search.Beam { width = 4; budget = 4 })
+           ~machine:Machine.convex ~nprocs:2 p)
+    in
+    ( o,
+      (Cost.stats cache).Cost.misses,
+      Batch.computed_count () - c0,
+      Batch.hit_count () - h0 )
+  in
+  let warm = Run_opts.Store_in (Some root) in
+  let o1, evals, computed1, _ = search warm in
+  check bool "Store_in computes" true (computed1 > 0);
+  check int "Store_in persists every computed evaluation" computed1
+    (entries root);
+  let o2, _, computed2, hits2 = search warm in
+  check int "repeat computes nothing" 0 computed2;
+  check int "repeat answered from the store" evals hits2;
+  check bool "repeat finds the same configuration" true
+    (o1.Search.best = o2.Search.best
+    && o1.Search.best_cost.Cost.e_cycles = o2.Search.best_cost.Cost.e_cycles);
+  let _, cold_evals, computed3, hits3 =
+    search (Run_opts.Store_cold (Some root))
+  in
+  check int "Store_cold takes no store hit" 0 hits3;
+  check int "Store_cold computes every evaluation" cold_evals computed3;
+  (* Store_off must not fall back to the default root either *)
+  let saved = Option.value (Sys.getenv_opt "LF_CACHE_DIR") ~default:"" in
+  Unix.putenv "LF_CACHE_DIR" unused;
+  let _, off_evals, computed4, _ =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "LF_CACHE_DIR" saved)
+      (fun () -> search Run_opts.Store_off)
+  in
+  check int "Store_off computes every evaluation" off_evals computed4;
+  check int "Store_off writes no entry" 0 (entries unused);
+  check int "Store_off leaves the warm root alone" computed1 (entries root)
 
 (* ------------------------------------------------------------------ *)
 (* Never-lose guarantee                                                *)
@@ -202,6 +266,7 @@ let suite =
     ("memo key sensitivity", `Quick, test_memo_key_sensitivity);
     ("beam search deterministic", `Quick, test_beam_deterministic);
     ("beam budget respected", `Quick, test_budget_respected);
+    ("store policies reach the exact tier", `Quick, test_store_policies);
     ("never worse than paper default", `Slow, test_never_worse_than_default);
     ("reference is paper default", `Quick, test_default_is_paper_for_kernels);
     Tutil.to_alcotest prop_prune_keeps_optimum;

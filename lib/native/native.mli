@@ -1,50 +1,40 @@
 (** Native multicore execution of schedules: the same phase/box
-    structure the simulator interprets, lowered to real OCaml running
-    on the host's cores.
+    structure the simulator interprets, compiled to machine code and
+    run on the host's cores — float64 {!Bigarray} buffers, one domain
+    per simulated processor from a {!Lf_parallel.Pool} (the caller
+    doubles as worker 0), a {!Lf_parallel.Spin_barrier} between phases
+    and steps.  Where {!Lf_core.Codegen} renders the iteration
+    structure as C-like text, this module compiles it.
 
-    The simulator ({!Lf_machine.Exec}) walks a {!Lf_core.Schedule.t}
-    and charges model cycles; this module walks the {e same} schedule
-    and spends real ones — float64 {!Bigarray} buffers, one domain per
-    simulated processor from a {!Lf_parallel.Pool} (the caller doubles
-    as worker 0), a {!Lf_parallel.Spin_barrier} between phases and
-    steps.  It is the executable continuation of {!Lf_core.Codegen}:
-    where codegen renders the strip-mined/peeled/wavefront iteration
-    structure as C-like text, this lowers each nest body once per run
-    into chunked inner loops and runs every box of every phase through
-    them.
+    {b Compiled nests.}  Nest [k] of a program becomes
+    [void lf_nest<k>(double *const *arrays, const long *lo,
+    const long *hi)], which runs level [l] over [lo[l] .. hi[l]] and,
+    at each point, the statements in body order: the interpreter's
+    point order, so a dependence carried by any loop is kept.  Guards
+    become [if]s, subscripts flat row-major offsets, and constant
+    subtrees their IEEE-754 bits, folded by the interpreter's own
+    evaluator.  The C compiler ocamlopt uses builds the program once
+    per process ([-O2 -ffp-contract=off -fPIC -shared], in a temporary
+    directory that is always removed), and the loaded object is kept
+    in memory by the digest of its source: box ranges are arguments,
+    so every schedule of a program shares it.  Workers call it once
+    per box with the runtime lock released.
 
-    {b Chunked lowering.}  Each row of a box (outer levels fixed) runs
-    its innermost loop in chunks of at most 256 points.  A chunk runs
-    one statement at a time, and each expression node of the statement
-    is one allocation-free loop over the chunk that writes an unboxed
-    per-worker register (the root writes the left-hand side).  Array
-    reads and constants are operands read inside their parent's loop;
-    a reference is addressed once per chunk as a row base plus an inner
-    stride; outer guard conjuncts are tested once per row and the inner
-    guard interval clips the chunk.
-
-    {b Why chunks keep point order.}  Inside one chunk the statement
-    instances run statement-major (statement, then point) instead of
-    point-major, which can reorder only instances at different inner
-    points of one row.  A nest whose inner level may carry a
-    dependence ({!Lf_dep.Dep.may_carry_dim}) therefore runs in chunks
-    of one point, which is point order itself; in any other nest no
-    two reordered instances touch the same element.
-
-    {b Bit-identity.}  Element values are produced by the same
-    statement instances applying the same IEEE-754 operations to the
-    same operands as {!Lf_ir.Interp} (constant subtrees fold with the
-    same operations), with the instance order preserved as above in
-    the per-processor box order of the schedule; legality (Theorem 1)
-    makes phases order-independent across processors, so the final
-    array contents are bit-identical to the serial reference —
+    {b Bit-identity.}  Each element is produced by the same statement
+    instances applying the same IEEE-754 operations to the same
+    operands as {!Lf_ir.Interp}: no contraction or reassociation
+    ([-ffp-contract=off], never [-ffast-math]), and constants and
+    negations reach the C compiler opaque, so it cannot turn [-x + y]
+    into [y - x], which differs in the sign of a NaN.  Legality
+    (Theorem 1) makes phases order-independent across processors, so
+    the final arrays are bit-identical to the serial reference —
     {!verify} checks exactly that, and the CI smoke asserts it on
-    every run.
+    every run.  DESIGN §11 has the details.
 
     {b Bounds.}  Before the parallel region starts, every reference of
     every box is checked per array dimension at the corners of the
     box's (guard-clipped) iteration rectangle — exact, since the
-    subscripts are affine — so the loops use unchecked access and an
+    subscripts are affine — so the nests use unchecked access and an
     out-of-range subscript raises {!Lf_ir.Interp.Out_of_bounds} (array,
     dimension and index) on the caller, before any worker runs.
 
@@ -55,12 +45,20 @@
     host-dependent and nondeterministic, so it is never persisted in
     [_lf_cache/] (see DESIGN §7/§11 and {!Lf_batch.Batch.Store}). *)
 
+exception Compile_failed of string
+(** No C compiler could build a program's nests: the message names the
+    compiler and gives the first line of its error output (or why it
+    could not be started).  Raised by {!create} and {!run_into} before
+    any worker starts; {!verify} returns it as [Error]. *)
+
 type buffers
-(** Float64 storage for every declared array of one program. *)
+(** Float64 storage for every declared array of one program, and the
+    program's compiled nests. *)
 
 val create :
   ?init:(string -> int -> float) -> Lf_ir.Ir.program -> buffers
-(** Allocate and initialise all declared arrays ([init] defaults to
+(** Compile the program's nests (unless this process already has) and
+    allocate and initialise all declared arrays ([init] defaults to
     {!Lf_ir.Interp.default_init}, the reference initialiser). *)
 
 val reset : ?init:(string -> int -> float) -> buffers -> unit
@@ -94,9 +92,10 @@ val run_into :
   unit
 (** {!run} onto existing buffers (not re-initialised: callers reset
     explicitly, so the compile-once / execute-many measurement loop is
-    possible).  The buffers must have been created for the schedule's
-    program: raises [Invalid_argument] if an array's buffer has another
-    size. *)
+    possible).  It runs the buffers' compiled nests, and compiles only
+    when the schedule's program is another one.  Every array of that
+    program must have a buffer of its size: raises [Invalid_argument]
+    otherwise. *)
 
 val verify :
   ?init:(string -> int -> float) ->
@@ -106,8 +105,8 @@ val verify :
   (unit, string) result
 (** Execute natively and compare every array element against the
     serial reference interpreter, bit for bit.  [Error] describes the
-    first mismatching element, or the out-of-range subscript that
-    stopped the run. *)
+    first mismatching element, the out-of-range subscript that stopped
+    the run, or the failed compile ({!Compile_failed}). *)
 
 type timing = {
   t_measure : Bench_timer.measurement;

@@ -8,11 +8,13 @@
    - native execution is bit-identical to the reference interpreter
      for every kernel x schedule variant x domain count the paper
      cares about — direct cases plus a QCheck property with
-     non-divisible strips and peel-heavy sizes — and for bodies whose
-     inner loop carries dependences, which the chunked lowering must
-     keep in point order;
+     non-divisible strips and peel-heavy sizes — for bodies whose
+     inner loop carries dependences, which the compiled nests must
+     keep in point order, and for every constant down to its bits;
    - an out-of-range subscript fails with the interpreter's typed
-     error, never an untyped exception or a stranded worker;
+     error, never an untyped exception or a stranded worker, and a
+     missing C compiler with the backend's own typed error, while
+     programs compiled before still run;
    - the measured cost tier verifies before it times, memoises in
      memory only, and the Wallclock search never returns a
      configuration measured slower than the paper default. *)
@@ -162,7 +164,7 @@ let test_native_pool_size_mismatch () =
       | _ -> Alcotest.fail "expected Invalid_argument on pool/nprocs mismatch")
 
 let test_native_buffer_size_mismatch () =
-  (* the chunk loops index buffers unchecked: buffers created for a
+  (* the compiled nests index buffers unchecked: buffers created for a
      smaller program are refused before any worker runs *)
   let sched = Schedule.unfused ~nprocs:2 (fig9 30) in
   let small = Native.create (fig9 20) in
@@ -254,7 +256,11 @@ let native_identity_prop =
     prop_native_bit_identical
 
 (* ------------------------------------------------------------------ *)
-(* Chunked lowering: dependences carried by the inner loop             *)
+(* Dependences carried by the inner loop                               *)
+
+(* The test names below still say "chunked": they were written for the
+   chunked lowering that preceded the compiled nests, which must keep
+   point order just the same. *)
 
 (* One nest, outer doall i and inner serial j, run unfused on 1 and 2
    domains.  Every write touches only elements owned by its row i
@@ -362,7 +368,7 @@ let square_case_gen =
       })
 
 (* 1-D arrays x, y holding one 800-element segment per row i, read at
-   distances on both sides of the 256-point chunk cap. *)
+   distances of about 256 points on both sides. *)
 let segment_case_gen =
   QCheck.Gen.(
     let w = 800 in
@@ -423,8 +429,7 @@ let rows_program name ~cols body =
 
 let test_self_flow_dependence () =
   (* a[i][j] = b[i][j] + 0.5 * a[i][j-1]: each point reads the
-     previous point's write, over rows several chunk caps long; the read
-     sits below the root, so it runs in a loop of its own *)
+     previous point's write, over rows of 700 points *)
   let open Ir.Dsl in
   let p =
     rows_program "scan" ~cols:700
@@ -474,6 +479,107 @@ let test_out_of_range_typed () =
       | exception Interp.Out_of_bounds m ->
         Alcotest.(check string) "typed exception" expected m)
     [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* Constants, bit for bit                                              *)
+
+(* Every constant reaches the compiled nests as its exact bits, alone
+   and combined with a read, on 1 and 2 domains.  Compared with
+   Int64.bits_of_float, which, unlike Interp.diff's Float.equal, tells
+   0.0 from -0.0 and one NaN from another. *)
+let test_exact_constants () =
+  let open Ir.Dsl in
+  let consts =
+    [
+      f 0.1; f 1.0 /: f 3.0; f (-0.0); f 5e-324; f max_float; f infinity;
+      f neg_infinity; f Float.nan; f 0.1 +: f 0.2; neg (f 0.1);
+    ]
+  in
+  let x = "x" %. [ i0 "i"; i0 "j" ] in
+  (* NaN data through a negation and through a multiplication by -1,
+     which a C compiler would rewrite as a subtraction and a negation *)
+  let nan_data = [ neg (x +: f Float.nan) +: x; (x *: f Float.nan) *: f (-1.0) ] in
+  let rhss =
+    List.concat_map (fun c -> [ c; x *: c; c -: x; x /: c; neg c +: x ]) consts
+    @ nan_data
+  in
+  let rows = 4 and cols = 9 in
+  let body =
+    List.mapi
+      (fun k rhs ->
+        Ir.stmt
+          (Ir.aref "o" [ Ir.affine ~const:(k * rows) [ (1, "i") ]; i0 "j" ])
+          rhs)
+      rhss
+  in
+  let p =
+    {
+      Ir.pname = "constants";
+      decls =
+        [
+          { Ir.aname = "x"; extents = [ rows; cols ] };
+          { Ir.aname = "o"; extents = [ rows * List.length rhss; cols ] };
+        ];
+      nests = [ loop_nest ~ilo:0 ~ihi:(rows - 1) ~jlo:0 ~jhi:(cols - 1) body ];
+    }
+  in
+  Ir.validate p;
+  let want = Interp.run p in
+  List.iter
+    (fun procs ->
+      let got = Native.to_store (Native.run (Schedule.unfused ~nprocs:procs p)) in
+      Hashtbl.iter
+        (fun name (a : float array) ->
+          let b = Interp.find_array got name in
+          Array.iteri
+            (fun k v ->
+              if Int64.bits_of_float v <> Int64.bits_of_float b.(k) then
+                Alcotest.failf "P=%d: %s[%d] = %h (bits %Lx), expected %h (bits %Lx)"
+                  procs name k b.(k) (Int64.bits_of_float b.(k)) v
+                  (Int64.bits_of_float v))
+            a)
+        want.Interp.arrays)
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* Compiled objects: memoised per program; no compiler, typed error    *)
+
+(* Run [f] with PATH naming only an empty directory, so no C compiler
+   can start; PATH is restored afterwards. *)
+let with_empty_path f =
+  let dir = Filename.temp_dir "lf_empty_path" "" in
+  let saved = Sys.getenv_opt "PATH" in
+  Unix.putenv "PATH" dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "PATH" (Option.value saved ~default:"");
+      Sys.rmdir dir)
+    f
+
+let test_memo_without_compiler () =
+  (* constants no other test uses, so both programs are new here *)
+  let scaled k =
+    let open Ir.Dsl in
+    rows_program "memo" ~cols:8
+      [ ("a", [ i0 "i"; i0 "j" ]) <-: ("b" %. [ i0 "i"; i0 "j" ]) *: f k ]
+  in
+  let seen = scaled 0.70710678 and fresh = scaled 0.70710679 in
+  ignore (Native.create seen);
+  with_empty_path (fun () ->
+      (* the same program: loaded from the memo, no compiler runs *)
+      assert_identical "memoised program" (Schedule.unfused ~nprocs:2 seen);
+      (match Native.create fresh with
+      | _ -> Alcotest.fail "a new program compiled without a C compiler"
+      | exception Native.Compile_failed m ->
+        check bool
+          (Printf.sprintf "%S names the compiler" m)
+          true
+          (String.starts_with
+             ~prefix:("C compiler " ^ Lf_native.Cc_config.compiler ^ " failed: ")
+             m));
+      match Native.verify (Schedule.unfused ~nprocs:2 fresh) with
+      | Ok () -> Alcotest.fail "verify ran a program it could not compile"
+      | Error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Measured cost tier + Wallclock search                               *)
@@ -588,6 +694,10 @@ let suite =
       test_cross_statement_backward;
     Alcotest.test_case "out-of-range subscript fails typed" `Quick
       test_out_of_range_typed;
+    Alcotest.test_case "constants keep their exact bits" `Quick
+      test_exact_constants;
+    Alcotest.test_case "compiled objects memoised; no compiler fails typed"
+      `Quick test_memo_without_compiler;
     Alcotest.test_case "measured tier: verify, time, memoise" `Quick
       test_measured_tier;
     Alcotest.test_case "measured tier: layout axis is free" `Quick

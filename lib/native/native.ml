@@ -87,10 +87,10 @@ let const_value e =
 
 (* Append statement [s] of a nest over [vars] to [b] as one C
    statement: its guard as an [if], every reference as [a<i>[flat
-   address]], every constant subtree folded and written as its IEEE-754
-   bits ([%h] prints infinity and nan, which C cannot parse), every
+   address]], every constant subtree folded and read from [k<i>], the
+   nest's name for its bits in [consts] (see [lower_nest]), every
    negation through [lf_neg] (see [prelude]). *)
-let lower_stmt b find vars (s : Ir.stmt) =
+let lower_stmt b consts find vars (s : Ir.stmt) =
   let depth = Array.length vars in
   let bounds = ref [] in
   let c_ref (r : Ir.aref) =
@@ -105,7 +105,17 @@ let lower_stmt b find vars (s : Ir.stmt) =
   in
   let rec c_expr e =
     match (const_value e, e) with
-    | Some k, _ -> Printf.bprintf b "lf_k(0x%LxULL)" (Int64.bits_of_float k)
+    | Some k, _ ->
+      let bits = Int64.bits_of_float k in
+      let i =
+        match List.assoc_opt bits !consts with
+        | Some i -> i
+        | None ->
+          let i = List.length !consts in
+          consts := (bits, i) :: !consts;
+          i
+      in
+      Printf.bprintf b "k%d" i
     | None, Ir.Read r -> c_ref r
     | None, Ir.Neg x ->
       Buffer.add_string b "lf_neg(";
@@ -139,10 +149,15 @@ let lower_stmt b find vars (s : Ir.stmt) =
 (* Append nest [k] as [lf_nest<k>]: one box, every level over its
    [lo, hi], the statements in body order at each point — the
    interpreter's point order.  Distinct arrays never overlap, hence
-   [restrict]. *)
+   [restrict].  Each distinct constant is bound once, before the
+   loops, from its IEEE-754 bits through [lf_k] ([%h] prints infinity
+   and nan, which C cannot parse): the loop body keeps no [asm], so the
+   C compiler may vectorize it, and the constants stay opaque. *)
 let lower_nest b find k (n : Ir.nest) =
   let vars = Array.of_list (Ir.nest_vars n) in
   let depth = Array.length vars in
+  let body = Buffer.create 1024 and consts = ref [] in
+  let stmts = List.map (lower_stmt body consts find vars) n.Ir.body in
   Printf.bprintf b
     "\nvoid lf_nest%d(double *const *arrays, const long *lo, const long *hi)\n{\n"
     k;
@@ -151,12 +166,16 @@ let lower_nest b find k (n : Ir.nest) =
       let i = fst (find a) in
       Printf.bprintf b "  double *const restrict a%d = arrays[%d];\n" i i)
     (Ir.nest_arrays n);
+  List.iter
+    (fun (bits, i) ->
+      Printf.bprintf b "  const double k%d = lf_k(0x%LxULL);\n" i bits)
+    (List.rev !consts);
   for l = 0 to depth - 1 do
     Printf.bprintf b "  for (long v%d = lo[%d], h%d = hi[%d]; v%d <= h%d; v%d++)\n"
       l l l l l l l
   done;
   Buffer.add_string b "  {\n";
-  let stmts = List.map (lower_stmt b find vars) n.Ir.body in
+  Buffer.add_buffer b body;
   Buffer.add_string b "  }\n}\n";
   (depth, Array.of_list stmts)
 
@@ -172,75 +191,8 @@ let prelude =
    static inline double lf_neg(double x)\n\
    { lf_u u = { .d = x }; u.b ^= 1ULL << 63; __asm__(\"\" : \"+r\"(u.b)); return u.d; }\n"
 
-(* Never [-ffast-math] or [-march=native]: a reassociated or contracted
-   (FMA) operation breaks bit-identity with the interpreter. *)
-let flags = [ "-O2"; "-ffp-contract=off"; "-fPIC"; "-shared" ]
-
-let compile_failed m =
-  Compile_failed (Printf.sprintf "C compiler %s failed: %s" Cc_config.compiler m)
-
-let rec wait pid =
-  match Unix.waitpid [] pid with
-  | _, status -> status
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pid
-
-(* Compile [source] in a fresh temporary directory, load the object
-   and remove the directory: a loaded object stays mapped.  The object
-   is named after the source's digest, so a path the dynamic loader
-   has seen before always names the same code. *)
-let compile hex source =
-  let dir = Filename.temp_dir "lf_native" "" in
-  let path f = Filename.concat dir f in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-  @@ fun () ->
-  let c = path "nests.c" and so = path (hex ^ ".so") and log = path "cc.log" in
-  Out_channel.with_open_bin c (fun oc -> output_string oc source);
-  let started =
-    let fd =
-      Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o600
-    in
-    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-    let argv = Array.of_list ((Cc_config.compiler :: flags) @ [ "-o"; so; c ]) in
-    match Unix.create_process Cc_config.compiler argv Unix.stdin fd fd with
-    | pid -> Ok (wait pid)
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  in
-  match started with
-  | Error m -> raise (compile_failed m)
-  | Ok (Unix.WEXITED 0) -> (
-    try dlopen so with Failure m -> raise (compile_failed m))
-  | Ok _ ->
-    In_channel.with_open_bin log In_channel.input_line
-    |> Option.value ~default:"no error output"
-    |> compile_failed |> raise
-
-(* Loaded nest functions by source digest, in this process only: the
-   objects themselves are never kept on disk. *)
-let memo : (Digest.t, nativeint array) Hashtbl.t = Hashtbl.create 16
-let memo_lock = Mutex.create ()
-
-let load source nnests =
-  let key = Digest.string source in
-  Mutex.protect memo_lock @@ fun () ->
-  match Hashtbl.find_opt memo key with
-  | Some fns -> fns
-  | None ->
-    let h =
-      try compile (Digest.to_hex key) source
-      with Sys_error m -> raise (compile_failed m)
-    in
-    let fns =
-      Array.init nnests (fun k -> dlsym h (Printf.sprintf "lf_nest%d" k))
-    in
-    Hashtbl.add memo key fns;
-    fns
-
-(* Emit every nest of [p] as C, and load the object (compiling it
-   unless this process already has). *)
-let lower (p : Ir.program) =
+(* [p]'s nests as C source, and their loop levels and statements. *)
+let emit (p : Ir.program) =
   let decls = Hashtbl.create 16 in
   List.iteri
     (fun i (d : Ir.decl) ->
@@ -253,11 +205,111 @@ let lower (p : Ir.program) =
   in
   let b = Buffer.create 4096 in
   Buffer.add_string b prelude;
-  let stmts = List.mapi (lower_nest b find) p.Ir.nests in
-  {
-    c_fns = load (Buffer.contents b) (List.length p.Ir.nests);
-    c_nests = Array.of_list stmts;
-  }
+  let nests = List.mapi (lower_nest b find) p.Ir.nests in
+  (Buffer.contents b, Array.of_list nests)
+
+(* [-O2]'s own cost model vectorizes none of the benchmark's nests; the
+   dynamic one vectorizes them all, with SSE2's per-lane IEEE
+   operations.  Never [-O3]: with this cost model its loop distribution
+   miscompiles test/programs/distribute.loop on GCC 12.  Never
+   [-ffast-math] or [-march=native]: a reassociated or contracted (FMA)
+   operation breaks bit-identity with the interpreter. *)
+let flags =
+  [ "-O2"; "-fvect-cost-model=dynamic"; "-ffp-contract=off"; "-fPIC"; "-shared" ]
+
+let compile_failed m =
+  Compile_failed (Printf.sprintf "C compiler %s failed: %s" Cc_config.compiler m)
+
+let rec wait pid =
+  match Unix.waitpid [] pid with
+  | _, status -> status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pid
+
+(* A compile in flight: the compiler [pid] writing [so] in [dir]. *)
+type job = { dir : string; so : string; log : string; pid : int }
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* Start compiling [source] in a fresh temporary directory, which is
+   removed again if the compiler cannot be started.  The object is
+   named after the source's digest, so a path the dynamic loader has
+   seen before always names the same code. *)
+let start_compile hex source =
+  let dir = Filename.temp_dir "lf_native" "" in
+  let path f = Filename.concat dir f in
+  let c = path "nests.c" and so = path (hex ^ ".so") and log = path "cc.log" in
+  match
+    Out_channel.with_open_bin c (fun oc -> output_string oc source);
+    let fd =
+      Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o600
+    in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let argv = Array.of_list ((Cc_config.compiler :: flags) @ [ "-o"; so; c ]) in
+    Unix.create_process Cc_config.compiler argv Unix.stdin fd fd
+  with
+  | pid -> { dir; so; log; pid }
+  | exception e ->
+    remove_dir dir;
+    raise
+      (match e with
+      | Unix.Unix_error (e, _, _) -> compile_failed (Unix.error_message e)
+      | e -> e)
+
+(* Wait for [j]'s compiler, apply [k] to its exit status, and remove
+   the directory. *)
+let reap j k =
+  Fun.protect ~finally:(fun () -> remove_dir j.dir) (fun () -> k (wait j.pid))
+
+(* The object [j] compiled, loaded: it stays mapped once its file is
+   removed. *)
+let load_object j = function
+  | Unix.WEXITED 0 -> (
+    try dlopen j.so with Failure m -> raise (compile_failed m))
+  | _ ->
+    In_channel.with_open_bin j.log In_channel.input_line
+    |> Option.value ~default:"no error output"
+    |> compile_failed |> raise
+
+(* Loaded nest functions by source digest, in this process only: the
+   objects themselves are never kept on disk. *)
+let memo : (Digest.t, nativeint array) Hashtbl.t = Hashtbl.create 16
+let memo_lock = Mutex.create ()
+
+(* Emit [p]'s nests, and run [f ()] while the C compiler builds them
+   (unless this process already has); returns the loaded code and
+   [f]'s result.  The compiler is waited for even when [f] raises. *)
+let lower_during (p : Ir.program) f =
+  let source, nests = emit p in
+  let key = Digest.string source in
+  let code fns = { c_fns = fns; c_nests = nests } in
+  match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key) with
+  | Some fns -> (code fns, f ())
+  | None ->
+    let typed g = try g () with Sys_error m -> raise (compile_failed m) in
+    let j = typed (fun () -> start_compile (Digest.to_hex key) source) in
+    let r =
+      match f () with
+      | r -> r
+      | exception e ->
+        reap j ignore;
+        raise e
+    in
+    let h = typed (fun () -> reap j (load_object j)) in
+    let fns =
+      Mutex.protect memo_lock @@ fun () ->
+      match Hashtbl.find_opt memo key with
+      | Some fns -> fns (* another domain loaded it meanwhile *)
+      | None ->
+        let fns =
+          Array.init (Array.length nests) (fun k ->
+              dlsym h (Printf.sprintf "lf_nest%d" k))
+        in
+        Hashtbl.add memo key fns;
+        fns
+    in
+    (code fns, r)
 
 (* ------------------------------------------------------------------ *)
 (* Buffers                                                             *)
@@ -287,15 +339,19 @@ let arrays_of tbl (p : Ir.program) =
          | _ -> invalid_arg ("Native: no buffer of the right size for " ^ d.Ir.aname))
        p.Ir.decls)
 
+(* The arrays are allocated and filled while the nests compile. *)
 let create ?(init = Interp.default_init) (p : Ir.program) =
-  let code = lower p in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Ir.decl) ->
-      let a = new_ba (Ir.num_elements d) in
-      fill_array ~init d.Ir.aname a;
-      Hashtbl.replace tbl d.Ir.aname a)
-    p.Ir.decls;
+  let code, tbl =
+    lower_during p (fun () ->
+        let tbl = Hashtbl.create 16 in
+        List.iter
+          (fun (d : Ir.decl) ->
+            let a = new_ba (Ir.num_elements d) in
+            fill_array ~init d.Ir.aname a;
+            Hashtbl.replace tbl d.Ir.aname a)
+          p.Ir.decls;
+        tbl)
+  in
   { b_prog = p; b_tbl = tbl; b_code = code; b_arrays = arrays_of tbl p }
 
 let reset ?(init = Interp.default_init) bufs =
@@ -382,7 +438,7 @@ let run_into ?(steps = 1) ?pool bufs (t : Schedule.t) =
     if prog == bufs.b_prog then (bufs.b_code, bufs.b_arrays)
     else
       let arrays = arrays_of bufs.b_tbl prog in
-      (lower prog, arrays)
+      (fst (lower_during prog ignore), arrays)
   in
   let phases = Array.of_list t.Schedule.phases in
   let nprocs = t.Schedule.nprocs in

@@ -13,23 +13,40 @@
     point order, so a dependence carried by any loop is kept.  Guards
     become [if]s, subscripts flat row-major offsets, and constant
     subtrees their IEEE-754 bits, folded by the interpreter's own
-    evaluator.  The C compiler ocamlopt uses builds the program once
-    per process ([-O2 -ffp-contract=off -fPIC -shared], in a temporary
-    directory that is always removed), and the loaded object is kept
-    in memory by the digest of its source: box ranges are arguments,
-    so every schedule of a program shares it.  Workers call it once
-    per box with the runtime lock released.
+    evaluator and bound once per nest, before the loops.  The C
+    compiler ocamlopt uses builds the program once per process
+    ([-O2 -fvect-cost-model=dynamic -ffp-contract=off -fPIC -shared],
+    in a temporary directory that is always removed), and the loaded
+    object is kept in memory by the digest of its source: box ranges
+    are arguments, so every schedule of a program shares it.  Workers
+    call it once per box with the runtime lock released.
+
+    {b Vectorized.}  The dynamic cost model lets the C compiler
+    vectorize the innermost loop (SSE2 on x86-64, whose per-lane
+    operations are the scalar IEEE-754 ones); [-O2]'s own cost model
+    vectorizes none of the benchmark's nests.  Never [-O3]: on GCC 12
+    its loop distribution, with this cost model, miscompiles a nest
+    whose inner loop carries dependences (test/programs/distribute.loop).
+    A nest that negates a value read from an array keeps [lf_neg]'s
+    [asm] in its loop body and stays scalar.
 
     {b Bit-identity.}  Each element is produced by the same statement
     instances applying the same IEEE-754 operations to the same
     operands as {!Lf_ir.Interp}: no contraction or reassociation
     ([-ffp-contract=off], never [-ffast-math]), and constants and
-    negations reach the C compiler opaque, so it cannot turn [-x + y]
-    into [y - x], which differs in the sign of a NaN.  Legality
-    (Theorem 1) makes phases order-independent across processors, so
-    the final arrays are bit-identical to the serial reference —
-    {!verify} checks exactly that, and the CI smoke asserts it on
-    every run.  DESIGN §11 has the details.
+    negations reach the C compiler opaque (each constant through an
+    empty [asm] before the loops, each negation through one in the
+    body), so it cannot turn [-x + y] into [y - x], which differs in
+    the sign of a NaN.  Legality (Theorem 1) makes phases
+    order-independent across processors, so the final arrays are
+    bit-identical to the serial reference — {!verify} checks exactly
+    that, and the CI smoke asserts it on every run.  One exception:
+    when both operands of an operation are NaN, which of the two comes
+    out is the C compiler's choice, since it may commute an addition
+    or a multiplication and x86 returns the first operand's NaN; the
+    result is a NaN either way, and {!verify}'s comparison
+    ({!Lf_ir.Interp.diff}) counts any two NaNs as equal.  DESIGN §11
+    has the details.
 
     {b Bounds.}  Before the parallel region starts, every reference of
     every box is checked per array dimension at the corners of the
@@ -59,7 +76,8 @@ val create :
   ?init:(string -> int -> float) -> Lf_ir.Ir.program -> buffers
 (** Compile the program's nests (unless this process already has) and
     allocate and initialise all declared arrays ([init] defaults to
-    {!Lf_ir.Interp.default_init}, the reference initialiser). *)
+    {!Lf_ir.Interp.default_init}, the reference initialiser), the
+    arrays while the C compiler runs. *)
 
 val reset : ?init:(string -> int -> float) -> buffers -> unit
 (** Refill every array with its initial values (between timed

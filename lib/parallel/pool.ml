@@ -15,16 +15,25 @@
 
 type t = {
   nworkers : int;
+  spins : int;  (* rounds a waiter polls before it parks *)
   m : Mutex.t;
   cv_job : Condition.t;
   cv_done : Condition.t;
-  mutable epoch : int;
+  epoch : int Atomic.t;  (* regions started *)
   mutable job : int -> unit;
-  mutable remaining : int;
+  remaining : int Atomic.t;  (* spawned workers yet to finish the region *)
   mutable failure : exn option;  (* first exception of the region *)
-  mutable shutdown : bool;
+  shutdown : bool Atomic.t;
   mutable domains : unit Domain.t list;
 }
+
+(* A waiter polls for this many rounds (~3.6 ms at the ~36 ns a round
+   costs on a 2-vCPU Xeon VM), longer than the gaps a measurement loop
+   leaves between regions, before it parks.  With more workers than
+   cores a spinner would burn the timeslice a peer needs, so it parks
+   almost at once, as libgomp does. *)
+let spin_rounds = 100_000
+let oversubscribed_spin_rounds = 100
 
 (* Run one region's job, funnelling any exception into [t.failure]
    (first one wins) so the join below can re-raise it on the caller.
@@ -37,28 +46,41 @@ let run_job t job w =
     if t.failure = None then t.failure <- Some e;
     Mutex.unlock t.m
 
-let worker_loop t w =
-  let my_epoch = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
+(* Wait until [ready ()]: poll it, then park on [cv].  Whoever makes
+   [ready] true broadcasts [cv] under [t.m] afterwards, and a parking
+   waiter checks [ready] under [t.m], so no wake-up is lost. *)
+let await t cv ready =
+  let n = ref t.spins in
+  while !n > 0 && not (ready ()) do
+    Domain.cpu_relax ();
+    decr n
+  done;
+  if not (ready ()) then begin
     Mutex.lock t.m;
-    while (not t.shutdown) && t.epoch = !my_epoch do
-      Condition.wait t.cv_job t.m
+    while not (ready ()) do
+      Condition.wait cv t.m
     done;
-    if t.shutdown then begin
-      Mutex.unlock t.m;
-      continue_ := false
-    end
-    else begin
-      my_epoch := t.epoch;
-      let job = t.job in
-      Mutex.unlock t.m;
-      run_job t job w;
-      Mutex.lock t.m;
-      t.remaining <- t.remaining - 1;
-      if t.remaining = 0 then Condition.broadcast t.cv_done;
-      Mutex.unlock t.m
-    end
+    Mutex.unlock t.m
+  end
+
+let signal t cv =
+  Mutex.lock t.m;
+  Condition.broadcast cv;
+  Mutex.unlock t.m
+
+(* A worker takes the job without the mutex: the caller writes [t.job]
+   before it bumps [t.epoch], and writes it again only after every
+   worker has finished the region. *)
+let worker_loop t w =
+  let seen = ref 0 in
+  let ready () = Atomic.get t.shutdown || Atomic.get t.epoch <> !seen in
+  while
+    await t t.cv_job ready;
+    not (Atomic.get t.shutdown)
+  do
+    seen := Atomic.get t.epoch;
+    run_job t t.job w;
+    if Atomic.fetch_and_add t.remaining (-1) = 1 then signal t t.cv_done
   done
 
 let create nworkers =
@@ -66,14 +88,18 @@ let create nworkers =
   let t =
     {
       nworkers;
+      spins =
+        (if nworkers > Domain.recommended_domain_count () then
+           oversubscribed_spin_rounds
+         else spin_rounds);
       m = Mutex.create ();
       cv_job = Condition.create ();
       cv_done = Condition.create ();
-      epoch = 0;
+      epoch = Atomic.make 0;
       job = ignore;
-      remaining = 0;
+      remaining = Atomic.make 0;
       failure = None;
-      shutdown = false;
+      shutdown = Atomic.make false;
       domains = [];
     }
   in
@@ -90,21 +116,14 @@ let size t = t.nworkers
 let run t f =
   if t.nworkers = 1 then f 0
   else begin
-    Mutex.lock t.m;
-    t.failure <- None;
     t.job <- f;
-    t.remaining <- t.nworkers - 1;
-    t.epoch <- t.epoch + 1;
-    Condition.broadcast t.cv_job;
-    Mutex.unlock t.m;
+    Atomic.set t.remaining (t.nworkers - 1);
+    Atomic.incr t.epoch;
+    signal t t.cv_job;
     run_job t f 0;
-    Mutex.lock t.m;
-    while t.remaining > 0 do
-      Condition.wait t.cv_done t.m
-    done;
+    await t t.cv_done (fun () -> Atomic.get t.remaining = 0);
     let failure = t.failure in
     t.failure <- None;
-    Mutex.unlock t.m;
     match failure with None -> () | Some e -> raise e
   end
 
@@ -135,10 +154,8 @@ let dynamic_for ?(chunk = 1) t ~lo ~hi f =
     end
 
 let shutdown t =
-  Mutex.lock t.m;
-  t.shutdown <- true;
-  Condition.broadcast t.cv_job;
-  Mutex.unlock t.m;
+  Atomic.set t.shutdown true;
+  signal t t.cv_job;
   List.iter Domain.join t.domains;
   t.domains <- []
 

@@ -10,7 +10,17 @@
 
     Pools are meant to be reused: one pool serves every phase and step
     of a simulated run (and every candidate of an autotuning search)
-    rather than spawning domains per invocation. *)
+    rather than spawning domains per invocation.
+
+    Between regions an idle worker spins, polling for the next region
+    with {!Domain.cpu_relax} for about 100 000 rounds (a few
+    milliseconds), and only then parks on a condition variable; the
+    caller waiting for the join spins the same way before it parks.
+    So regions that follow each other closely, like the repetitions of
+    a measurement, start without a wake-up, while an idle pool costs
+    no CPU beyond the spin.  A pool with more workers than
+    {!Domain.recommended_domain_count} spins only about 100 rounds,
+    since a spinner would take the core a peer needs. *)
 
 type t
 
@@ -33,7 +43,8 @@ val dynamic_for : ?chunk:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
     the iterations must be independent. *)
 
 val shutdown : t -> unit
-(** Terminate and join the worker domains. *)
+(** Terminate and join the worker domains; a worker still spinning
+    after the last region stops at once. *)
 
 val with_pool : int -> (t -> 'a) -> 'a
 (** [with_pool n f] runs [f] with a fresh pool of [n] workers and

@@ -26,9 +26,10 @@ let parties t = t.n_parties
 (* Pure spinning livelocks when the machine has fewer cores than
    parties: the spinner burns the whole OS timeslice the releasing
    domain is waiting for, turning a microsecond barrier into
-   milliseconds.  After a bounded spin, fall back to the shortest
-   possible sleep — on an uncontended machine the budget is never
-   exhausted and the fast path stays syscall-free. *)
+   milliseconds.  After a bounded spin, fall back to a 1 µs sleep per
+   probe, which Linux stretches to the thread's timer slack (50 µs by
+   default) — on an uncontended machine the budget is never exhausted
+   and the fast path stays syscall-free. *)
 let spin_budget = 4096
 
 let wait t =

@@ -21,7 +21,8 @@ val parties : t -> int
 val wait : t -> unit
 (** Spin until all [parties] participants have arrived; reusable
     across any number of generations.  Waiters poll on-core for a
-    bounded budget, then back off to the shortest possible sleep — so
-    more parties than cores degrades to scheduler granularity instead
-    of livelocking, and on a big enough machine the fast path never
-    issues a syscall. *)
+    bounded budget, then back off to [Unix.sleepf 1e-6] per probe,
+    which on Linux sleeps for at least the thread's timer slack (50 µs
+    by default) — so more parties than cores degrades to scheduler
+    granularity instead of livelocking, and on a big enough machine
+    the fast path never issues a syscall. *)

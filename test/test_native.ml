@@ -10,7 +10,9 @@
      cares about — direct cases plus a QCheck property with
      non-divisible strips and peel-heavy sizes — for bodies whose
      inner loop carries dependences, which the compiled nests must
-     keep in point order, and for every constant down to its bits;
+     keep in point order, for every constant down to its bits, and for
+     vectorized arithmetic on NaNs, signed zeros, infinities and
+     subnormals (where both operands are NaN, any NaN);
    - an out-of-range subscript fails with the interpreter's typed
      error, never an untyped exception or a stranded worker, and a
      missing C compiler with the backend's own typed error, while
@@ -542,6 +544,91 @@ let test_exact_constants () =
     [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
+(* Vector lanes, bit for bit                                           *)
+
+(* Special operands for the vectorized nests: quiet NaNs of both signs
+   with distinct payloads, a signalling NaN, signed zeros, infinities,
+   subnormals and extremes, and two normal numbers. *)
+let lane_values =
+  Array.append
+    (Array.map Int64.float_of_bits
+       [| 0x7ff8000000000001L; 0xfff8000000000002L; 0x7ff0000000000003L |])
+    [| 0.0; -0.0; infinity; neg_infinity; 5e-324; -5e-324; max_float;
+       -.max_float; 1.5; -0.1 |]
+
+(* x steps through [lane_values] by 1, y by 1 more every full cycle,
+   so the first 13 x 13 elements meet every pair of values. *)
+let lane_init name k =
+  let m = Array.length lane_values in
+  match name with
+  | "x" -> lane_values.(k mod m)
+  | "y" -> lane_values.((k + (k / m)) mod m)
+  | _ -> 0.0
+
+(* Six one-statement nests over [5][37] arrays; the inner extent is
+   odd, so the vectorized loop body and its scalar epilogue both run.
+   Exact bits wherever at most one of x and y is NaN; where both are,
+   which NaN comes out is the C compiler's choice (it may commute an
+   addition or a multiplication, and x86 returns the first operand's
+   NaN), so only a NaN is required there. *)
+let test_vector_lanes () =
+  let open Ir.Dsl in
+  let rows = 5 and cols = 37 in
+  let x = "x" %. [ i0 "i"; i0 "j" ] and y = "y" %. [ i0 "i"; i0 "j" ] in
+  let rhss =
+    [ x +: y; x -: y; x *: y; x /: y; y +: (x *: f 2.0); (x -: y) *: (y +: x) ]
+  in
+  let nests =
+    List.mapi
+      (fun k rhs ->
+        {
+          (loop_nest ~ilo:0 ~ihi:(rows - 1) ~jlo:0 ~jhi:(cols - 1)
+             [ Ir.stmt (Ir.aref (Printf.sprintf "o%d" k) [ i0 "i"; i0 "j" ]) rhs ])
+          with
+          Ir.nid = Printf.sprintf "lane%d" k;
+        })
+      rhss
+  in
+  let p =
+    {
+      Ir.pname = "lanes";
+      decls =
+        List.map
+          (fun a -> { Ir.aname = a; extents = [ rows; cols ] })
+          ("x" :: "y" :: List.mapi (fun k _ -> Printf.sprintf "o%d" k) rhss);
+      nests;
+    }
+  in
+  Ir.validate p;
+  let want = Interp.run ~init:lane_init p in
+  let xs = Interp.find_array want "x" and ys = Interp.find_array want "y" in
+  List.iter
+    (fun procs ->
+      let got =
+        Native.to_store
+          (Native.run ~init:lane_init (Schedule.unfused ~nprocs:procs p))
+      in
+      Hashtbl.iter
+        (fun name (a : float array) ->
+          let b = Interp.find_array got name in
+          Array.iteri
+            (fun k v ->
+              let ok =
+                if Float.is_nan xs.(k) && Float.is_nan ys.(k) then
+                  Float.is_nan b.(k)
+                else Int64.bits_of_float v = Int64.bits_of_float b.(k)
+              in
+              if not ok then
+                Alcotest.failf
+                  "P=%d: %s[%d] = %h (bits %Lx), expected %h (bits %Lx) for x \
+                   = %h, y = %h"
+                  procs name k b.(k) (Int64.bits_of_float b.(k)) v
+                  (Int64.bits_of_float v) xs.(k) ys.(k))
+            a)
+        want.Interp.arrays)
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
 (* Compiled objects: memoised per program; no compiler, typed error    *)
 
 (* Run [f] with PATH naming only an empty directory, so no C compiler
@@ -580,6 +667,33 @@ let test_memo_without_compiler () =
       match Native.verify (Schedule.unfused ~nprocs:2 fresh) with
       | Ok () -> Alcotest.fail "verify ran a program it could not compile"
       | Error _ -> ())
+
+(* Native.create fills the arrays while the C compiler runs: a fill
+   that raises still waits for the compiler and removes its temporary
+   directory, and the program compiles again next time. *)
+let test_fill_raises_while_compiling () =
+  let p =
+    let open Ir.Dsl in
+    rows_program "fill" ~cols:8
+      [ ("a", [ i0 "i"; i0 "j" ]) <-: ("b" %. [ i0 "i"; i0 "j" ]) *: f 0.30102999 ]
+  in
+  let dir = Filename.temp_dir "lf_fill_tmp" "" in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Sys.rmdir dir)
+    (fun () ->
+      (match Native.create ~init:(fun _ _ -> failwith "fill") p with
+      | _ -> Alcotest.fail "create returned although the fill raised"
+      | exception Failure m -> check bool "the fill's exception" true (m = "fill"));
+      check int "temporary directory left empty" 0
+        (Array.length (Sys.readdir dir));
+      assert_identical "compiled after the failed fill"
+        (Schedule.unfused ~nprocs:2 p);
+      check int "temporary directory left empty" 0
+        (Array.length (Sys.readdir dir)))
 
 (* ------------------------------------------------------------------ *)
 (* Measured cost tier + Wallclock search                               *)
@@ -686,8 +800,8 @@ let suite =
       test_native_pool_size_mismatch;
     Alcotest.test_case "undersized buffers refused" `Quick
       test_native_buffer_size_mismatch;
-    QCheck_alcotest.to_alcotest native_identity_prop;
-    QCheck_alcotest.to_alcotest chunk_length_prop;
+    Tutil.to_alcotest native_identity_prop;
+    Tutil.to_alcotest chunk_length_prop;
     Alcotest.test_case "chunked: self flow dependence" `Quick
       test_self_flow_dependence;
     Alcotest.test_case "chunked: cross-statement backward dependence" `Quick
@@ -696,8 +810,12 @@ let suite =
       test_out_of_range_typed;
     Alcotest.test_case "constants keep their exact bits" `Quick
       test_exact_constants;
+    Alcotest.test_case "vector lanes keep their exact bits" `Quick
+      test_vector_lanes;
     Alcotest.test_case "compiled objects memoised; no compiler fails typed"
       `Quick test_memo_without_compiler;
+    Alcotest.test_case "a fill that raises still reaps the compiler" `Quick
+      test_fill_raises_while_compiling;
     Alcotest.test_case "measured tier: verify, time, memoise" `Quick
       test_measured_tier;
     Alcotest.test_case "measured tier: layout axis is free" `Quick

@@ -1,5 +1,7 @@
-(* Tests for the domains runtime: the pool and the spin barrier.  Native
-   execution on them is pinned bit-for-bit by test_native.ml. *)
+(* Tests for the domains runtime: the pool (regions that find the
+   workers spinning or parked, more workers than cores) and the spin
+   barrier.  Native execution on them is pinned bit-for-bit by
+   test_native.ml. *)
 
 module Pool = Lf_parallel.Pool
 
@@ -52,7 +54,7 @@ let test_run_exception_rejoins () =
       Pool.run pool (fun _ -> Atomic.incr counter);
       check int "pool usable after failure" 4 (Atomic.get counter))
 
-let test_dynamic_for_coverage () =
+let dynamic_for_covers cases =
   List.iter
     (fun (workers, chunk, lo, hi) ->
       with_pool workers (fun pool ->
@@ -66,6 +68,10 @@ let test_dynamic_for_coverage () =
                 (if i >= lo && i <= hi then 1 else 0)
                 c)
             seen))
+    cases
+
+let test_dynamic_for_coverage () =
+  dynamic_for_covers
     [
       (1, None, 0, 99);
       (3, None, 5, 94);
@@ -83,6 +89,91 @@ let test_dynamic_for_imbalanced () =
           if i < 4 then ignore (Sys.opaque_identity (Array.make 10000 i));
           ignore (Atomic.fetch_and_add sum i));
       check int "sum of 1..60" 1830 (Atomic.get sum))
+
+(* ------------------------------------------------------------------ *)
+(* Spinning and parking between regions                                *)
+
+(* Longer than the window in which an idle worker, or a caller waiting
+   for the join, spins before it parks. *)
+let past_spin_window () = Unix.sleepf 0.05
+
+(* Region [k] has every worker write [k] into its slot; the caller
+   must see every slot written once [run] returns. *)
+let region_visible pool k =
+  let slots = Array.make (Pool.size pool) (-1) in
+  Pool.run pool (fun w -> slots.(w) <- k);
+  Array.iteri
+    (fun w v -> check int (Printf.sprintf "region %d worker %d" k w) k v)
+    slots
+
+let test_back_to_back_regions () =
+  (* each region starts while the workers still spin after the last *)
+  with_pool 2 (fun pool ->
+      for k = 1 to 2000 do
+        region_visible pool k
+      done)
+
+let test_region_after_park () =
+  with_pool 3 (fun pool ->
+      for k = 1 to 3 do
+        past_spin_window ();
+        region_visible pool k
+      done)
+
+let test_exception_spin_and_park () =
+  with_pool 2 (fun pool ->
+      let expect_raise label f =
+        match Pool.run pool f with
+        | exception Failure m -> check bool label true (m = "w1")
+        | () -> Alcotest.failf "%s: expected Failure" label
+      in
+      region_visible pool 1;
+      (* spin path: the worker is still spinning after region 1 *)
+      expect_raise "raised while spinning" (fun w ->
+          if w = 1 then failwith "w1");
+      region_visible pool 2;
+      (* park path: the worker parked, and the caller's join parks
+         while the worker sleeps *)
+      past_spin_window ();
+      expect_raise "raised after parking" (fun w ->
+          if w = 1 then begin
+            past_spin_window ();
+            failwith "w1"
+          end);
+      region_visible pool 3;
+      past_spin_window ();
+      region_visible pool 4)
+
+(* Each pool spawns a domain; OCaml caps how many can be alive at once
+   (128), so a pool that was not cleaned up fails a later spawn. *)
+let leak_rounds = 150
+
+let test_shutdown_after_region () =
+  for k = 1 to leak_rounds do
+    let pool = Pool.create 2 in
+    region_visible pool k;
+    Pool.shutdown pool
+  done
+
+let test_with_pool_cleans_up_after_region () =
+  for k = 1 to leak_rounds do
+    match
+      Pool.with_pool 2 (fun pool ->
+          region_visible pool k;
+          failwith "f")
+    with
+    | exception Failure m -> check bool "f's exception" true (m = "f")
+    | () -> Alcotest.fail "expected Failure"
+  done
+
+let test_oversubscribed_pool () =
+  let n = Domain.recommended_domain_count () + 1 in
+  with_pool n (fun pool ->
+      region_visible pool 1;
+      past_spin_window ();
+      region_visible pool 2);
+  dynamic_for_covers
+    [ (n, None, 0, 119); (n, Some 7, 5, 94); (n, Some 200, 10, 20) ]
 
 (* ------------------------------------------------------------------ *)
 (* Spin barrier (lf_native's phase separator)                          *)
@@ -137,6 +228,14 @@ let suite =
     ("run re-raises worker exception", `Quick, test_run_exception_rejoins);
     ("dynamic_for coverage", `Quick, test_dynamic_for_coverage);
     ("dynamic_for imbalanced", `Quick, test_dynamic_for_imbalanced);
+    ("back-to-back regions", `Quick, test_back_to_back_regions);
+    ("region after the workers park", `Quick, test_region_after_park);
+    ("exception re-raised spinning and parked", `Quick,
+     test_exception_spin_and_park);
+    ("shutdown straight after a region", `Quick, test_shutdown_after_region);
+    ("with_pool cleans up after a region", `Quick,
+     test_with_pool_cleans_up_after_region);
+    ("oversubscribed pool", `Quick, test_oversubscribed_pool);
     ("spin barrier phases", `Quick, test_spin_barrier_phases);
     ("spin barrier reusable", `Quick, test_spin_barrier_reusable);
     ("spin barrier single party", `Quick, test_spin_barrier_single_party);

@@ -1,8 +1,8 @@
-(* Engine benchmark (PR 3, extended in PR 4): wall-clock cost of the
-   simulator itself, comparing the serial engine, the host-domain-
-   parallel engine (--jobs), the miss-only address-stream fast path,
-   and the run-compressed line-granular engine — while verifying that
-   every variant produces bit-identical observables.
+(* Engine benchmark: wall-clock cost of the simulator itself, comparing
+   the serial engine, the host-domain-parallel engine (--jobs), the
+   scalar miss-only replay and the run-compressed line-granular engine
+   — while verifying that every variant produces bit-identical
+   observables.
 
    Simulated results never depend on jobs or mode (see exec.mli); this
    experiment demonstrates it on a full-size workload and records the
@@ -10,7 +10,6 @@
 
 module Machine = Lf_machine.Machine
 module Exec = Lf_machine.Exec
-module Interp = Lf_ir.Interp
 
 let nprocs = 8
 
@@ -19,8 +18,7 @@ let time f =
   let r = f () in
   (r, t ())
 
-(* All performance observables; store compared separately (absent in
-   Miss_only mode). *)
+(* Every observable of a result. *)
 let counters_equal (a : Exec.result) (b : Exec.result) =
   a.Exec.cycles = b.Exec.cycles
   && a.Exec.phase_cycles = b.Exec.phase_cycles
@@ -32,7 +30,7 @@ let counters_equal (a : Exec.result) (b : Exec.result) =
   && a.Exec.proc_misses = b.Exec.proc_misses
 
 let run cfg =
-  Util.header "Engine: host-domain parallelism and the miss-only fast path";
+  Util.header "Engine: host-domain parallelism and the two replay tiers";
   let machine = Machine.convex in
   let n = Util.scale cfg 512 128 in
   let steps = Util.scale cfg 4 2 in
@@ -55,47 +53,34 @@ let run cfg =
   ignore
     (Exec.run_opts (Exec.opts ~jobs:1 ())
        (Lf_machine.Sim.fused ~layout ~machine ~nprocs ~strip p));
-  let serial_full, t_sf = time (go ~mode:Exec.Full ~jobs:1) in
   let serial_miss, t_sm = time (go ~mode:Exec.Miss_only ~jobs:1) in
   let serial_runs, t_sr = time (go ~mode:Exec.Run_compressed ~jobs:1) in
-  let par_full, t_pf = time (go ~mode:Exec.Full ~jobs) in
   let par_miss, t_pm = time (go ~mode:Exec.Miss_only ~jobs) in
   let par_runs, t_pr = time (go ~mode:Exec.Run_compressed ~jobs) in
   Exec.release_shared_pool ();
-  let identical =
-    counters_equal serial_full par_full
-    && Interp.equal serial_full.Exec.store par_full.Exec.store
-  in
-  let miss_only_match =
-    counters_equal serial_full serial_miss
-    && counters_equal serial_full par_miss
-  in
+  let identical = counters_equal serial_miss par_miss in
   let runs_match =
-    counters_equal serial_full serial_runs
-    && counters_equal serial_full par_runs
+    counters_equal serial_miss serial_runs
+    && counters_equal serial_miss par_runs
   in
   Util.pr "workload: fused LL18 %dx%d, %d steps, %d simulated processors@." n
     n steps nprocs;
   Util.pr "host: %d core(s) available, --jobs %d@." host jobs;
   Util.pr "@.%-28s  %10s  %9s@." "engine" "wall (s)" "vs serial";
   let row label t =
-    Util.pr "%-28s  %10.2f  %8.2fx@." label t (t_sf /. t)
+    Util.pr "%-28s  %10.2f  %8.2fx@." label t (t_sm /. t)
   in
-  row "full, serial" t_sf;
-  row (Printf.sprintf "full, --jobs %d" jobs) t_pf;
   row "miss-only, serial" t_sm;
   row (Printf.sprintf "miss-only, --jobs %d" jobs) t_pm;
   row "run-compressed, serial" t_sr;
   row (Printf.sprintf "run-compressed, --jobs %d" jobs) t_pr;
   Util.pr "@.simulated cycles: %.0f   total misses: %d@."
-    serial_full.Exec.cycles serial_full.Exec.total_misses;
-  Util.pr "parallel engine bit-identical to serial (incl. store): %b@."
+    serial_miss.Exec.cycles serial_miss.Exec.total_misses;
+  Util.pr "parallel miss-only bit-identical to serial:             %b@."
     identical;
-  Util.pr "miss-only counters match full simulation exactly:      %b@."
-    miss_only_match;
-  Util.pr "run-compressed counters match full simulation exactly: %b@."
+  Util.pr "run-compressed counters match miss-only serial exactly: %b@."
     runs_match;
-  if not (identical && miss_only_match && runs_match) then
+  if not (identical && runs_match) then
     failwith "engine variants disagree — determinism bug";
   Util.note ~id:"eng"
     [
@@ -105,19 +90,14 @@ let run cfg =
       ("nprocs", Util.Int nprocs);
       ("jobs", Util.Int jobs);
       ("host_cores", Util.Int host);
-      ("simulated_cycles", Util.Float serial_full.Exec.cycles);
-      ("total_misses", Util.Int serial_full.Exec.total_misses);
-      ("serial_full_s", Util.Float t_sf);
-      ("parallel_full_s", Util.Float t_pf);
+      ("simulated_cycles", Util.Float serial_miss.Exec.cycles);
+      ("total_misses", Util.Int serial_miss.Exec.total_misses);
       ("serial_miss_only_s", Util.Float t_sm);
       ("parallel_miss_only_s", Util.Float t_pm);
       ("serial_runs_s", Util.Float t_sr);
       ("parallel_runs_s", Util.Float t_pr);
-      ("parallel_speedup", Util.Float (t_sf /. t_pf));
-      ("miss_only_speedup", Util.Float (t_sf /. t_sm));
-      ("run_compressed_speedup", Util.Float (t_sf /. t_sr));
+      ("parallel_speedup", Util.Float (t_sm /. t_pm));
       ("run_vs_scalar_replay_speedup", Util.Float (t_sm /. t_sr));
-      ("bit_identical", Util.Bool (identical && miss_only_match && runs_match));
-      ("miss_only_counters_match", Util.Bool miss_only_match);
+      ("bit_identical", Util.Bool (identical && runs_match));
       ("run_compressed_counters_match", Util.Bool runs_match);
     ]

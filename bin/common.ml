@@ -109,15 +109,6 @@ let jobs_arg =
   in
   Arg.(value & opt (some string) None & info [ "jobs"; "j" ] ~docv:"J" ~doc)
 
-let engine_arg =
-  let doc =
-    "Simulation engine: $(b,runs) (batched run-compressed replay, the \
-     default), $(b,miss-only) (scalar address replay), or $(b,full) \
-     (interpret values too).  All three produce bit-identical \
-     observables; they differ only in wall clock."
-  in
-  Arg.(value & opt string "runs" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
 let json_arg =
   let doc = "Emit machine-readable JSON instead of the table." in
   Arg.(value & flag & info [ "json" ] ~doc)
@@ -186,11 +177,6 @@ let apply_jobs = function
     | Ok j -> Ok (Exec.set_default_jobs j)
     | Error e -> Error ("bad --jobs value " ^ e))
 
-let mode_of s =
-  match Sim.mode_of_string s with
-  | Ok m -> Ok m
-  | Error _ -> Error ("unknown engine " ^ s ^ " (try runs, miss-only, full)")
-
 let layout_of spec machine (p : Ir.program) =
   match spec with
   | "partition" ->
@@ -250,10 +236,9 @@ module Run_opts = Lf_batch.Run_opts
 let engine_opt_arg =
   let doc =
     "Simulation engine: $(b,runs) (batched run-compressed replay, the \
-     default), $(b,miss-only) (scalar address replay), or $(b,full) \
-     (interpret values too).  All three produce bit-identical \
-     observables; they differ only in wall clock.  Defaults from \
-     $(b,LF_ENGINE)."
+     default) or $(b,miss-only) (scalar address replay).  Both produce \
+     bit-identical observables; they differ only in wall clock.  \
+     Defaults from $(b,LF_ENGINE)."
   in
   Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
@@ -264,7 +249,8 @@ let run_opts_of jobs engine cold store_dir timeout =
   let* t =
     match engine with
     | None -> Ok t
-    | Some e -> Result.map (fun m -> Run_opts.with_engine m t) (mode_of e)
+    | Some e ->
+      Result.map (fun m -> Run_opts.with_engine m t) (Sim.mode_of_string e)
   in
   let t =
     match store_dir with

@@ -1162,14 +1162,19 @@ let request kernel n machine_name procs strip layout_spec engine steps
         match layout_of layout_spec machine p with
         | Error m -> `Error (false, m)
         | Ok layout -> (
-          match mode_of engine with
+          let mode =
+            match engine with
+            | None -> Ok None (* Sim.make's default *)
+            | Some e -> Result.map Option.some (Sim.mode_of_string e)
+          in
+          match mode with
           | Error m -> `Error (false, m)
           | Ok mode -> (
             let req =
               if unfused then
-                Sim.unfused ~layout ~mode ~machine ~nprocs:procs ~steps p
+                Sim.unfused ~layout ?mode ~machine ~nprocs:procs ~steps p
               else
-                Sim.fused ~layout ~mode ~machine ~nprocs:procs ~strip ~steps p
+                Sim.fused ~layout ?mode ~machine ~nprocs:procs ~strip ~steps p
             in
             let module Client = Lf_serve.Client in
             let module Wire = Lf_serve.Wire in
@@ -1240,7 +1245,7 @@ let request_cmd =
     Term.(
       ret
         (const request $ kernel_arg $ size_arg $ machine_arg $ procs_arg
-       $ strip_arg $ layout_arg $ engine_arg $ steps_arg
+       $ strip_arg $ layout_arg $ engine_opt_arg $ steps_arg
        $ unfused_variant_arg $ socket_arg $ wait_arg $ json_arg))
 
 (* --- cache --------------------------------------------------------- *)

@@ -22,8 +22,8 @@ let () =
     machine.Machine.mname nprocs;
 
   (* 1. Profile the pathological layout: dense power-of-two arrays on a
-     direct-mapped cache.  The sink is passive — the run's store and
-     cycle counts are identical with or without it. *)
+     direct-mapped cache.  The sink is passive — the run's cycle and
+     miss counts are identical with or without it. *)
   let sink = Obs.create ~layout:"contiguous" () in
   let layout = Lf_core.Partition.contiguous p.Ir.decls in
   let r =

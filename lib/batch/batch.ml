@@ -59,31 +59,15 @@ module Store = struct
   let ext = ".lfres"
   let path t digest = Filename.concat t.sdir (digest ^ ext)
 
-  (* Persistence is an explicit allow-list over the engine modes, and
-     every mode on it is a pure simulation: its observables are a
-     deterministic function of the request, so a persisted entry can be
-     replayed on any host at any time.  Two things are kept out by
-     construction:
+  (* Every request is a pure simulation: its observables are a
+     deterministic function of the request, so an entry can be replayed
+     on any host at any time.  Measured wall-clock stays out by type:
+     native timings ({!Lf_native.Native.timing}) are never an
+     [Exec.result] under a digest, and the [wall_s] of a batch outcome
+     is measured around the store, outside {!render} (warm hits report
+     0.0, not a replayed stale timing).
 
-     - [Full] runs: their observable is the materialised array store,
-       which is not persisted (multi-megabyte floats, reproducible by
-       re-running);
-     - measured wall-clock (the lf_native execution backend): host
-       time is nondeterministic — machine, load, thermal state — so it
-       must never be answered from a content-addressed cache.  Native
-       measurements live in their own types ({!Lf_native.Native.timing})
-       and cannot even be expressed as an [Exec.result]-under-digest;
-       this allow-list is the second line of defence should a future
-       mode blur that boundary.  The [wall_s] a batch outcome reports
-       is measured around the store itself and is deliberately outside
-       {!render} — warm hits report 0.0, not a replayed stale timing. *)
-  let cacheable (r : Sim.request) =
-    match r.Sim.mode with
-    | Sim.Miss_only -> true
-    | Sim.Run_compressed -> true
-    | Sim.Full -> false
-
-  (* Entry format: one observable per line, floats as the decimal
+     Entry format: one observable per line, floats as the decimal
      rendering of their IEEE-754 bits so the round trip is bit-exact.
      Readers parse strictly and treat any anomaly as a miss. *)
 
@@ -139,9 +123,7 @@ module Store = struct
     let nfps = int "fps" in
     if nfps < 0 || nfps > 64 then raise Bad;
     for _ = 1 to nfps do ignore (field "f") done;
-    (match Sim.mode_of_string (field "mode") with
-    | Ok (Miss_only | Run_compressed) -> ()
-    | Ok Full | Error _ -> raise Bad);
+    if Result.is_error (Sim.mode_of_string (field "mode")) then raise Bad;
     let cycles = flt "cycles" in
     let barrier_cycles = flt "barrier" in
     let nphases = int "phases" in
@@ -164,11 +146,6 @@ module Store = struct
       cold_misses;
       tlb_misses;
       proc_misses;
-      store =
-        {
-          Lf_ir.Interp.arrays = Hashtbl.create 1;
-          extents = Hashtbl.create 1;
-        };
     }
 
   let read_file p =
@@ -178,24 +155,19 @@ module Store = struct
       (fun () -> really_input_string ic (in_channel_length ic))
 
   let lookup t (r : Sim.request) =
-    if not (cacheable r) then None
-    else begin
-      let digest = Sim.digest r in
-      let res =
-        match read_file (path t digest) with
-        | exception _ -> None
-        | text -> ( try Some (parse digest text) with Bad | _ -> None)
-      in
-      Mutex.lock t.mu;
-      t.lookups <- t.lookups + 1;
-      if res <> None then t.shits <- t.shits + 1;
-      Mutex.unlock t.mu;
-      res
-    end
+    let digest = Sim.digest r in
+    let res =
+      match read_file (path t digest) with
+      | exception _ -> None
+      | text -> ( try Some (parse digest text) with Bad | _ -> None)
+    in
+    Mutex.lock t.mu;
+    t.lookups <- t.lookups + 1;
+    if res <> None then t.shits <- t.shits + 1;
+    Mutex.unlock t.mu;
+    res
 
   let add t (r : Sim.request) (res : Exec.result) =
-    cacheable r
-    &&
     let digest = Sim.digest r in
     match Filename.temp_file ~temp_dir:t.sdir "lfres-" ".tmp" with
     | exception _ -> false

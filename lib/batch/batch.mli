@@ -12,17 +12,15 @@
       digest, answers hits from the store, and shards the misses across
       host domains.
 
-    {b Cache-key discipline} (see also sim.mli).  Only requests are
+    {b Cache-key discipline} (see also sim.mli).  Every request is
     cacheable, and a request contains everything that determines the
-    simulated observables.  Three things deliberately live outside the
+    simulated observables.  Two things deliberately live outside the
     key and therefore cannot be served stale: [jobs]/[pool] (the engine
-    is bit-identical for every host-domain count), an attached [sink]
-    (observation is passive, but a {e replayed} result cannot populate
-    one — so a request executed with a per-run sink is always computed,
-    though its result is still stored for future sink-less hits), and
-    [Full]-mode array contents (the store persists observables, not
-    multi-megabyte float arrays, so [Full] requests are never answered
-    from the store). *)
+    is bit-identical for every host-domain count) and an attached
+    [sink] (observation is passive, but a {e replayed} result cannot
+    populate one — so a request executed with a per-run sink is always
+    computed, though its result is still stored for future sink-less
+    hits). *)
 
 module Sim = Lf_machine.Sim
 module Exec = Lf_machine.Exec
@@ -43,34 +41,21 @@ module Store : sig
 
   val dir : t -> string
 
-  val cacheable : Sim.request -> bool
-  (** Explicit allow-list of persistable requests: [true] exactly for
-      the pure simulation modes ([Miss_only], [Run_compressed]), whose
-      observables are deterministic functions of the request.
-      [Full]-mode requests are excluded (their observable is the array
-      store, which is not persisted), and measured wall-clock results
-      from the native execution backend are excluded {e by type}: a
-      native timing is never an [Exec.result] and has no request digest
-      to be stored under.  Host time is nondeterministic, so replaying
-      it from a content-addressed cache would be a lie — the [wall_s]
-      in an {!outcome} is measured around the store and reports [0.0]
-      for warm hits.  (DESIGN §7 states the rule; test/test_batch.ml
-      pins it.) *)
-
   val lookup : t -> Sim.request -> Exec.result option
   (** The persisted result of this request, or [None] on a miss.  A
       corrupt, truncated, stale-salted or otherwise unreadable entry is
       a miss, never an error — concurrent writers and killed processes
-      may leave anything on disk.  The returned result carries an empty
-      array store (like a [Miss_only] run). *)
+      may leave anything on disk.  Measured wall-clock is never
+      persisted: native timings are not [Exec.result]s and have no
+      request digest, and the [wall_s] in an {!outcome} is measured
+      around the store and reports [0.0] for warm hits (DESIGN §7). *)
 
   val add : t -> Sim.request -> Exec.result -> bool
   (** Persist a result (atomically: tempfile + rename, so concurrent
       writers of the same digest are safe and readers never observe a
-      partial entry).  Returns [false] without writing when the request
-      is not {!cacheable}.  I/O failures are swallowed: a read-only or
-      full disk degrades the store to a no-op, it does not break the
-      simulation. *)
+      partial entry).  Returns [false] when the write failed: I/O
+      failures are swallowed, so a read-only or full disk degrades the
+      store to a no-op, it does not break the simulation. *)
 
   type stats = {
     entries : int;

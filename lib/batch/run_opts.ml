@@ -56,13 +56,10 @@ let of_env ?(base = default) () =
   let* engine =
     match Sys.getenv_opt "LF_ENGINE" with
     | None | Some "" -> Ok base.engine
-    | Some s -> (
-        match Sim.mode_of_string s with
-        | Ok m -> Ok m
-        | Error _ ->
-            Error
-              (Printf.sprintf
-                 "LF_ENGINE=%s: expected full, miss-only or runs" s))
+    | Some s ->
+        Result.map_error
+          (fun e -> Printf.sprintf "LF_ENGINE=%s: %s" s e)
+          (Sim.mode_of_string s)
   in
   let* timeout_s =
     match Sys.getenv_opt "LF_TIMEOUT_S" with

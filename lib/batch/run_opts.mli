@@ -99,7 +99,7 @@ val exec : ?pool:Lf_parallel.Pool.t -> t -> Lf_machine.Exec.opts
 
 val of_env : ?base:t -> unit -> (t, string) Stdlib.result
 (** [base] (default {!default}) overridden by the environment:
-    [LF_ENGINE] (["full"]/["miss-only"]/["runs"]), [LF_COLD] (["1"] or
+    [LF_ENGINE] (["miss-only"]/["runs"]), [LF_COLD] (["1"] or
     ["true"] makes the store policy cold), [LF_STORE] (["off"]
     disables persistence), [LF_TIMEOUT_S] (float seconds).  [LF_JOBS]
     is not read here: its value already feeds
@@ -109,6 +109,7 @@ val of_env : ?base:t -> unit -> (t, string) Stdlib.result
     The store root likewise stays [None]:
     [$LF_CACHE_DIR] flows through {!Batch.Store.default_dir}.  A
     malformed value is an [Error] naming the variable, never a silent
-    fallback. *)
+    fallback; an unknown engine is [LF_ENGINE=<s>: ] followed by
+    {!Lf_machine.Sim.mode_of_string}'s message. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,18 +1,17 @@
 (* Execution-driven simulation: runs a [Schedule.t] on a [Machine.config]
    with one cache per processor and a memory layout mapping array
-   elements to addresses.  Produces both the semantic result (the store,
-   for verification against the reference interpreter) and the
-   performance observables the paper reports: cycle counts and cache
-   misses.
+   elements to addresses.  Produces the performance observables the
+   paper reports: cycle counts and cache misses.  Values are never
+   interpreted here; the reference interpreter and [Schedule.execute]
+   own the semantics.
 
    The engine is split into three layers so the host can parallelise
    the simulation without changing a single observable:
 
    - {b stream generation}: each simulated processor's boxes are
      compiled to closures that walk the iteration space and emit the
-     per-processor address stream (interpreting values in [Full] mode,
-     only the addresses in [Miss_only] mode, and line-granular runs in
-     [Run_compressed] mode);
+     per-processor address stream (access by access in [Miss_only]
+     mode, line-granular runs in [Run_compressed] mode);
    - {b cache replay}: the stream drives that processor's private
      [Lf_cache] instances — state owned by exactly one simulated
      processor, hence by exactly one host domain at a time;
@@ -33,7 +32,7 @@
    iterations, statement instances, plus the cache/TLB hit and miss
    counters the caches themselves maintain) and [ctx_cycles] converts
    the counts to cycles in one fixed closed-form expression.  This is
-   what makes every engine mode bit-identical by construction: a mode
+   what makes both engine modes bit-identical by construction: a mode
    that proves "these n accesses hit" and bumps the hit counter by n
    yields {e exactly} the float the scalar engine yields, because both
    evaluate the same expression on the same integers — there is no
@@ -58,10 +57,9 @@ type result = {
   cold_misses : int;
   tlb_misses : int;
   proc_misses : int array;
-  store : Interp.store;
 }
 
-type mode = Sim.mode = Full | Miss_only | Run_compressed
+type mode = Sim.mode = Miss_only | Run_compressed
 
 let proc0_misses r = r.proc_misses.(0)
 
@@ -196,14 +194,14 @@ let access ctx aid addr =
     | Some t -> if not (Cache.access t addr) then Obs.record_tlb_miss p ~aid)
 
 (* ------------------------------------------------------------------ *)
-(* Statement compilation: each statement becomes a closure over the
-   value arrays and the layout, taking (ctx, iteration values).        *)
+(* Statement compilation: each reference becomes its subscripts as
+   coefficient rows over the nest's loop variables, bound to the
+   array's placement in the layout.                                    *)
 
 type cref = {
   aid : int;  (* array id: index into the program's decl list *)
   aname : string;  (* for out-of-bounds messages *)
-  values : float array;  (* empty outside Full mode *)
-  lext : int array;  (* logical extents, for the value index *)
+  lext : int array;  (* logical extents, for the bounds check *)
   aext : int array;  (* addressing extents (padding included) *)
   start : int;  (* byte address of element 0 *)
   elem_bytes : int;
@@ -212,10 +210,17 @@ type cref = {
   istride : int;  (* byte-address delta per innermost-variable step *)
 }
 
-(* [lookup name] yields the value array and logical extents of [name];
-   outside Full mode the value array is empty (never dereferenced). *)
-let compile_ref lookup (layout : Partition.layout) aid_of vars (r : Ir.aref) =
-  let values, lext = lookup r.Ir.array in
+let aid_of (decls : Ir.decl array) name =
+  let rec go i =
+    if i >= Array.length decls then
+      invalid_arg ("Exec.run_opts: undeclared array " ^ name)
+    else if String.equal decls.(i).Ir.aname name then i
+    else go (i + 1)
+  in
+  go 0
+
+let compile_ref (layout : Partition.layout) decls vars (r : Ir.aref) =
+  let aid = aid_of decls r.Ir.array in
   let p = Partition.find_placement layout r.array in
   let nvars = Array.length vars in
   let coeffs =
@@ -256,10 +261,9 @@ let compile_ref lookup (layout : Partition.layout) aid_of vars (r : Ir.aref) =
     end
   in
   {
-    aid = aid_of r.Ir.array;
+    aid;
     aname = r.Ir.array;
-    values;
-    lext;
+    lext = Array.of_list decls.(aid).Ir.extents;
     aext = p.aextents;
     start = p.start;
     elem_bytes = layout.elem_bytes;
@@ -268,29 +272,9 @@ let compile_ref lookup (layout : Partition.layout) aid_of vars (r : Ir.aref) =
     istride;
   }
 
-(* Evaluate subscripts, returning (value index, byte address). *)
-let locate cr (vals : int array) =
-  let ndim = Array.length cr.consts in
-  let vidx = ref 0 and aidx = ref 0 in
-  for d = 0 to ndim - 1 do
-    let row = cr.coeffs.(d) in
-    let v = ref cr.consts.(d) in
-    for i = 0 to Array.length row - 1 do
-      if row.(i) <> 0 then v := !v + (row.(i) * vals.(i))
-    done;
-    let v = !v in
-    if v < 0 || v >= cr.lext.(d) then
-      raise
-        (Interp.out_of_bounds ~array:cr.aname ~dim:d ~index:v
-           ~extent:cr.lext.(d));
-    vidx := (!vidx * cr.lext.(d)) + v;
-    aidx := (!aidx * cr.aext.(d)) + v
-  done;
-  (!vidx, cr.start + (!aidx * cr.elem_bytes))
-
-(* [locate] without the value index: address-stream replay needs only
-   the byte address.  Bounds checks (and their exception text) are kept
-   identical so the modes fail identically on a bad schedule. *)
+(* Evaluate subscripts to a byte address, raising the interpreter's
+   [Out_of_bounds] (same text) on a subscript outside the logical
+   extents, so every mode fails identically on a bad schedule. *)
 let locate_addr cr (vals : int array) =
   let ndim = Array.length cr.consts in
   let aidx = ref 0 in
@@ -309,7 +293,7 @@ let locate_addr cr (vals : int array) =
   done;
   cr.start + (!aidx * cr.elem_bytes)
 
-(* Bounds predicate of [locate] at [vals], without raising: the run
+(* Bounds predicate of [locate_addr] at [vals], without raising: the run
    engine prechecks segment endpoints with this (subscripts are affine,
    hence monotone, in the sweep variable — endpoint validity implies
    interior validity) and falls back to the raising scalar walk when it
@@ -328,58 +312,14 @@ let ref_in_bounds cr (vals : int array) =
   done;
   !ok
 
-type cexpr =
-  | CConst of float
-  | CRead of cref
-  | CNeg of cexpr
-  | CBin of Ir.binop * cexpr * cexpr
-
-let rec compile_expr lookup layout aid_of vars (e : Ir.expr) =
-  match e with
-  | Const k -> CConst k
-  | Read r -> CRead (compile_ref lookup layout aid_of vars r)
-  | Neg e -> CNeg (compile_expr lookup layout aid_of vars e)
-  | Bin (op, a, b) ->
-    CBin
-      ( op,
-        compile_expr lookup layout aid_of vars a,
-        compile_expr lookup layout aid_of vars b )
-
-let rec eval_cexpr ctx vals = function
-  | CConst k -> k
-  | CRead cr ->
-    let vidx, addr = locate cr vals in
-    access ctx cr.aid addr;
-    cr.values.(vidx)
-  | CNeg e -> -.eval_cexpr ctx vals e
-  | CBin (op, a, b) -> (
-    let x = eval_cexpr ctx vals a in
-    let y = eval_cexpr ctx vals b in
-    match op with
-    | Add -> x +. y
-    | Sub -> x -. y
-    | Mul -> x *. y
-    | Div -> x /. y)
-
-(* Reads of a compiled expression in evaluation order (the DFS order
-   [eval_cexpr] visits them): the address stream of the statement's
-   right-hand side.  Replay modes issue exactly this sequence. *)
-let rec refs_of_cexpr acc = function
-  | CConst _ -> acc
-  | CRead cr -> cr :: acc
-  | CNeg e -> refs_of_cexpr acc e
-  | CBin (_, a, b) -> refs_of_cexpr (refs_of_cexpr acc a) b
-
 type cstmt = {
-  clhs : cref;
-  crhs : cexpr;
   cguard : (int * int * int) array;  (* (level index, lo, hi) *)
   ctrace : cref array;
       (* address stream of one instance: rhs reads in evaluation order,
-         then the lhs write — the order [exec_cstmt] issues accesses *)
+         then the lhs write *)
 }
 
-let compile_nest lookup layout aid_of (n : Ir.nest) =
+let compile_nest layout decls (n : Ir.nest) =
   let vars = Array.of_list (Ir.nest_vars n) in
   let var_index x =
     let rec go i =
@@ -393,16 +333,15 @@ let compile_nest lookup layout aid_of (n : Ir.nest) =
   Array.of_list
     (List.map
        (fun (s : Ir.stmt) ->
-         let clhs = compile_ref lookup layout aid_of vars s.lhs in
-         let crhs = compile_expr lookup layout aid_of vars s.rhs in
          {
-           clhs;
-           crhs;
            cguard =
              Array.of_list
                (List.map (fun (v, lo, hi) -> (var_index v, lo, hi)) s.guard);
            ctrace =
-             Array.of_list (List.rev (clhs :: refs_of_cexpr [] crhs));
+             Array.of_list
+               (List.map
+                  (compile_ref layout decls vars)
+                  (Ir.stmt_reads s @ [ s.lhs ]));
          })
        n.body)
 
@@ -416,18 +355,9 @@ let guard_holds g (vals : int array) =
   in
   go 0
 
-let exec_cstmt ctx vals s =
-  if guard_holds s.cguard vals then begin
-    let v = eval_cexpr ctx vals s.crhs in
-    let vidx, addr = locate s.clhs vals in
-    access ctx s.clhs.aid addr;
-    s.clhs.values.(vidx) <- v
-  end
-
-(* Miss_only: replay the statement's address stream against the cache,
-   skipping value interpretation.  Addresses are layout-dependent but
-   value-independent, so hits/misses and hence cycles are identical to
-   [exec_cstmt]'s. *)
+(* Miss_only: replay the statement's address stream against the cache.
+   Addresses are layout-dependent but value-independent, so the stream
+   alone determines hits, misses and hence cycles. *)
 let exec_cstmt_trace ctx vals s =
   if guard_holds s.cguard vals then begin
     let tr = s.ctrace in
@@ -436,11 +366,6 @@ let exec_cstmt_trace ctx vals s =
       access ctx cr.aid (locate_addr cr vals)
     done
   end
-
-let exec_stmts_full ctx vals (stmts : cstmt array) =
-  for s = 0 to Array.length stmts - 1 do
-    exec_cstmt ctx vals stmts.(s)
-  done
 
 let exec_stmts_trace ctx vals (stmts : cstmt array) =
   for s = 0 to Array.length stmts - 1 do
@@ -728,84 +653,66 @@ let sweep_segments ctx lmask plmask assoc1 stmts
     v := !e
   done
 
-let exec_box_runs compiled nest_arity ctx (b : Schedule.box) =
-  let stmts : cstmt array = compiled.(b.Schedule.nest) in
-  let nd : int = nest_arity.(b.Schedule.nest) in
-  let vals = Array.make nd 0 in
-  let t0 = match ctx.probe with None -> 0.0 | Some _ -> ctx_cycles ctx in
-  ctx.boxes <- ctx.boxes + 1;
-  let iters = Schedule.box_iterations b in
-  ctx.iters <- ctx.iters + iters;
-  ctx.ops <- ctx.ops + (iters * Array.length stmts);
-  (if nd = 0 then exec_stmts_trace ctx vals stmts
-   else begin
-     let iv = nd - 1 in
-     let lo, hi = b.Schedule.ranges.(iv) in
-     let lmask = (Cache.config ctx.cache).Cache.line - 1 in
-     let plmask =
-       match ctx.tlb with
-       | None -> lmask
-       | Some t -> (Cache.config t).Cache.line - 1
-     in
-     let assoc1 = (Cache.config ctx.cache).Cache.assoc = 1 in
-     (* split each statement's guard: outer-variable conjuncts gate the
-        whole sweep, innermost-variable conjuncts become an interval *)
-     let split =
-       Array.map
-         (fun (s : cstmt) ->
-           let outer = ref [] and glo = ref lo and ghi = ref hi in
-           Array.iter
-             (fun ((v, l, h) as gd) ->
-               if v = iv then begin
-                 if l > !glo then glo := l;
-                 if h < !ghi then ghi := h
-               end
-               else outer := gd :: !outer)
-             s.cguard;
-           (s, Array.of_list (List.rev !outer), !glo, !ghi))
-         stmts
-     in
-     let rec go d =
-       if d = iv then begin
-         let sel =
-           Array.to_list split
-           |> List.filter_map (fun (s, outer, glo, ghi) ->
-                  if glo <= ghi && guard_holds outer vals then
-                    Some (s, glo, ghi)
-                  else None)
-         in
-         if sel <> [] then
-           sweep_segments ctx lmask plmask assoc1 stmts sel vals iv lo hi
-       end
-       else begin
-         let dlo, dhi = b.Schedule.ranges.(d) in
-         for v = dlo to dhi do
-           vals.(d) <- v;
-           go (d + 1)
-         done
-       end
-     in
-     go 0
-   end);
-  match ctx.probe with
-  | None -> ()
-  | Some p ->
-    Obs.box_span p ~nest:b.Schedule.nest ~iters ~t0 ~t1:(ctx_cycles ctx)
+(* Run_compressed's walk of one box: the outer levels point by point,
+   the innermost level as segments of strided runs. *)
+let walk_runs ctx (stmts : cstmt array) vals (b : Schedule.box) =
+  let nd = Array.length vals in
+  if nd = 0 then exec_stmts_trace ctx vals stmts
+  else begin
+    let iv = nd - 1 in
+    let lo, hi = b.Schedule.ranges.(iv) in
+    let lmask = (Cache.config ctx.cache).Cache.line - 1 in
+    let plmask =
+      match ctx.tlb with
+      | None -> lmask
+      | Some t -> (Cache.config t).Cache.line - 1
+    in
+    let assoc1 = (Cache.config ctx.cache).Cache.assoc = 1 in
+    (* split each statement's guard: outer-variable conjuncts gate the
+       whole sweep, innermost-variable conjuncts become an interval *)
+    let split =
+      Array.map
+        (fun (s : cstmt) ->
+          let outer = ref [] and glo = ref lo and ghi = ref hi in
+          Array.iter
+            (fun ((v, l, h) as gd) ->
+              if v = iv then begin
+                if l > !glo then glo := l;
+                if h < !ghi then ghi := h
+              end
+              else outer := gd :: !outer)
+            s.cguard;
+          (s, Array.of_list (List.rev !outer), !glo, !ghi))
+        stmts
+    in
+    let rec go d =
+      if d = iv then begin
+        let sel =
+          Array.to_list split
+          |> List.filter_map (fun (s, outer, glo, ghi) ->
+                 if glo <= ghi && guard_holds outer vals then
+                   Some (s, glo, ghi)
+                 else None)
+        in
+        if sel <> [] then
+          sweep_segments ctx lmask plmask assoc1 stmts sel vals iv lo hi
+      end
+      else begin
+        let dlo, dhi = b.Schedule.ranges.(d) in
+        for v = dlo to dhi do
+          vals.(d) <- v;
+          go (d + 1)
+        done
+      end
+    in
+    go 0
+  end
 
-(* ------------------------------------------------------------------ *)
-(* Running a schedule                                                  *)
-
-let exec_box exec_stmts compiled nest_arity ctx (b : Schedule.box) =
-  let stmts : cstmt array = compiled.(b.Schedule.nest) in
-  let nd : int = nest_arity.(b.Schedule.nest) in
-  let vals = Array.make nd 0 in
-  let t0 = match ctx.probe with None -> 0.0 | Some _ -> ctx_cycles ctx in
-  ctx.boxes <- ctx.boxes + 1;
-  let iters = Schedule.box_iterations b in
-  ctx.iters <- ctx.iters + iters;
-  ctx.ops <- ctx.ops + (iters * Array.length stmts);
+(* Miss_only's walk of one box: every point, access by access. *)
+let walk_points ctx (stmts : cstmt array) vals (b : Schedule.box) =
+  let nd = Array.length vals in
   let rec go d =
-    if d = nd then exec_stmts ctx vals stmts
+    if d = nd then exec_stmts_trace ctx vals stmts
     else begin
       let lo, hi = b.Schedule.ranges.(d) in
       for v = lo to hi do
@@ -814,7 +721,20 @@ let exec_box exec_stmts compiled nest_arity ctx (b : Schedule.box) =
       done
     end
   in
-  go 0;
+  go 0
+
+(* ------------------------------------------------------------------ *)
+(* Running a schedule                                                  *)
+
+let exec_box walk compiled nest_arity ctx (b : Schedule.box) =
+  let stmts : cstmt array = compiled.(b.Schedule.nest) in
+  let vals = Array.make nest_arity.(b.Schedule.nest) 0 in
+  let t0 = match ctx.probe with None -> 0.0 | Some _ -> ctx_cycles ctx in
+  ctx.boxes <- ctx.boxes + 1;
+  let iters = Schedule.box_iterations b in
+  ctx.iters <- ctx.iters + iters;
+  ctx.ops <- ctx.ops + (iters * Array.length stmts);
+  walk ctx stmts vals b;
   match ctx.probe with
   | None -> ()
   | Some p ->
@@ -845,42 +765,9 @@ let run_opts o (req : Sim.request) =
   let sink = o.o_sink in
   let prog = sched.Schedule.prog in
   let nprocs = sched.Schedule.nprocs in
-  (* Stream generation setup: the store and the name -> (values,
-     extents) lookup the compiled statements close over.  The replay
-     modes skip allocating and initialising the value arrays entirely;
-     their results carry an empty store. *)
-  let store, lookup =
-    match mode with
-    | Full ->
-      let store = Interp.create prog in
-      ( store,
-        fun name -> (Interp.find_array store name, Interp.find_extents store name)
-      )
-    | Miss_only | Run_compressed ->
-      let extents = Hashtbl.create 16 in
-      List.iter
-        (fun (d : Ir.decl) ->
-          Hashtbl.replace extents d.Ir.aname (Array.of_list d.Ir.extents))
-        prog.Ir.decls;
-      let no_values = [||] in
-      ( { Interp.arrays = Hashtbl.create 1; extents = Hashtbl.create 1 },
-        fun name ->
-          match Hashtbl.find_opt extents name with
-          | Some e -> (no_values, e)
-          | None -> invalid_arg ("Exec.run_opts: undeclared array " ^ name) )
-  in
   let decls = Array.of_list prog.Ir.decls in
-  let aid_of name =
-    let rec go i =
-      if i >= Array.length decls then
-        invalid_arg ("Exec.run_opts: undeclared array " ^ name)
-      else if String.equal decls.(i).Ir.aname name then i
-      else go (i + 1)
-    in
-    go 0
-  in
   let compiled =
-    Array.of_list (List.map (compile_nest lookup layout aid_of) prog.Ir.nests)
+    Array.of_list (List.map (compile_nest layout decls) prog.Ir.nests)
   in
   let nest_arity =
     Array.of_list
@@ -927,10 +814,9 @@ let run_opts o (req : Sim.request) =
     | Some _ -> Array.map (fun c -> Option.get c.probe) ctxs
   in
   let exec_one =
-    match mode with
-    | Full -> exec_box exec_stmts_full compiled nest_arity
-    | Miss_only -> exec_box exec_stmts_trace compiled nest_arity
-    | Run_compressed -> exec_box_runs compiled nest_arity
+    exec_box
+      (match mode with Miss_only -> walk_points | Run_compressed -> walk_runs)
+      compiled nest_arity
   in
   (* Cache replay across host domains: each simulated processor is
      claimed by exactly one domain per phase (self-scheduled, so the
@@ -1027,7 +913,6 @@ let run_opts o (req : Sim.request) =
     cold_misses;
     tlb_misses;
     proc_misses;
-    store;
   }
 
 (* Attribution tables from a sink recorded by [run_opts]. *)

@@ -1,8 +1,9 @@
 (** Execution-driven simulation of schedules on a simulated
     shared-memory multiprocessor: one cache per processor, a memory
     layout mapping array elements to addresses, and the cycle cost model
-    of {!Machine}.  Produces both the semantic result (for verification)
-    and the paper's observables (cycles, misses).
+    of {!Machine}.  Produces the paper's observables (cycles, misses);
+    values are never interpreted ({!Lf_ir.Interp.run} and
+    {!Lf_core.Schedule.execute} are the semantic oracles).
 
     {b Two-level parallelism.}  The {e simulated} processors of a phase
     are independent by construction (the paper's phases are parallel
@@ -13,8 +14,8 @@
     owned by exactly one domain at a time, and every cross-processor
     reduction (phase max, miss sums, event-stream merge) happens after
     the join in simulated-processor order — so the result, including
-    [store] and the attached sink's contents, is bit-identical for
-    every [jobs] value.  Determinism relies on the schedule being legal (no
+    the attached sink's contents, is bit-identical for every [jobs]
+    value.  Determinism relies on the schedule being legal (no
     dependence between processors within a phase), which is what the
     barrier placement asserts; all schedules built by {!Lf_core.Schedule}
     satisfy it. *)
@@ -28,21 +29,17 @@ type result = {
   cold_misses : int;  (** compulsory misses (all processors) *)
   tlb_misses : int;  (** TLB misses (all processors), 0 when no TLB *)
   proc_misses : int array;  (** per-processor miss counts *)
-  store : Lf_ir.Interp.store;  (** final array contents; empty in
-                                   [Miss_only] mode *)
 }
 
 type mode = Sim.mode =
-  | Full  (** interpret values and replay the cache (the default) *)
   | Miss_only
-      (** trace-driven fast path: generate and replay only the address
-          stream, skipping floating-point value interpretation and the
-          store allocation.  Addresses are layout-dependent but
-          value-independent, so every performance observable ([cycles],
-          [phase_cycles], miss/TLB/ref counts, sink contents) is
-          bit-identical to [Full]; only [store] is empty.  Use when the
-          caller needs cache statistics, not array contents (the
-          autotuner's exact tier, padding sweeps). *)
+      (** scalar address replay: walk every iteration point and replay
+          each statement instance's address stream (right-hand-side
+          reads in evaluation order, then the write) access by access.
+          Addresses are layout-dependent but value-independent, so the
+          stream alone determines every performance observable.  The
+          counter oracle [Run_compressed] is tested against, and its
+          exact fallback. *)
   | Run_compressed
       (** batched line-granular replay: the iteration walker emits
           per-reference [(start, byte stride, count)] runs instead of
@@ -53,9 +50,7 @@ type mode = Sim.mode =
           direct-mapped geometry), with scalar fallback elsewhere.
           Every observable is bit-identical to [Miss_only] — counters,
           cycles, sink contents and event stream — only wall-clock
-          changes (DESIGN §6b).  Like [Miss_only] the [store] is empty.
-          The default engine for sweeps and the autotuner's exact
-          tier. *)
+          changes (DESIGN §6b).  The default engine. *)
 
 val proc0_misses : result -> int
 (** Misses of processor 0, the paper's "single processor during parallel
@@ -122,8 +117,8 @@ val run_opts : opts -> Sim.request -> result
 
     [o_sink] attaches an {!Lf_obs.Obs.sink} collecting per-array x
     per-phase x per-processor counters and a structured event stream.
-    Attaching a sink never changes the simulation: the store, cycle
-    counts and cache statistics are bit-identical with and without it
+    Attaching a sink never changes the simulation: cycle counts and
+    cache statistics are bit-identical with and without it
     (the observer-effect property in test/test_obs.ml), under any
     [o_jobs] count — each domain records into probe-private buffers
     that are merged deterministically at phase end. *)

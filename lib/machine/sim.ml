@@ -23,7 +23,7 @@ module Partition = Lf_core.Partition
 module Derive = Lf_core.Derive
 module Cache = Lf_cache.Cache
 
-type mode = Full | Miss_only | Run_compressed
+type mode = Miss_only | Run_compressed
 
 type variant =
   | Unfused of { grid : int array option; depth : int option }
@@ -44,7 +44,7 @@ type request = {
   mode : mode;
 }
 
-let make ?layout ?(steps = 1) ?(mode = Full) ~machine ~nprocs ~variant prog =
+let make ?layout ?(steps = 1) ?(mode = Run_compressed) ~machine ~nprocs ~variant prog =
   if nprocs < 1 then invalid_arg "Sim.make: nprocs < 1";
   if steps < 1 then invalid_arg "Sim.make: steps < 1";
   { prog; machine; variant; layout; nprocs; steps; mode }
@@ -206,15 +206,13 @@ module Fingerprint = struct
 end
 
 let mode_to_string = function
-  | Full -> "full"
   | Miss_only -> "miss-only"
   | Run_compressed -> "runs"
 
 let mode_of_string = function
   | "runs" | "run-compressed" -> Ok Run_compressed
   | "miss-only" -> Ok Miss_only
-  | "full" -> Ok Full
-  | s -> Error ("unknown engine " ^ s ^ " (try runs, miss-only, full)")
+  | s -> Error ("unknown engine " ^ s ^ " (try runs, miss-only)")
 
 (* ------------------------------------------------------------------ *)
 (* Canonical serialisation                                             *)

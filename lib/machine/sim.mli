@@ -27,10 +27,9 @@
     known digests), without cold-starting results that never depended
     on that module. *)
 
-type mode = Full | Miss_only | Run_compressed
+type mode = Miss_only | Run_compressed
 (** Engine tier, re-exported by {!Exec.mode} (which documents the
-    tiers).  All three produce bit-identical observables; only [Full]
-    materialises the store. *)
+    tiers).  Both produce bit-identical observables. *)
 
 type variant =
   | Unfused of { grid : int array option; depth : int option }
@@ -67,7 +66,7 @@ val make :
   variant:variant ->
   Lf_ir.Ir.program ->
   request
-(** [steps] defaults to 1, [mode] to [Full]. *)
+(** [steps] defaults to 1, [mode] to [Run_compressed]. *)
 
 val unfused :
   ?grid:int array ->
@@ -188,9 +187,11 @@ val digest : request -> string
     store. *)
 
 val mode_to_string : mode -> string
-(** ["full"], ["miss-only"], ["runs"] — the [--engine] vocabulary. *)
+(** ["miss-only"], ["runs"] — the [--engine] vocabulary. *)
 
 val mode_of_string : string -> (mode, string) result
+(** Inverse of {!mode_to_string}, also accepting ["run-compressed"].
+    Its error message is the one text for an unknown engine name. *)
 
 val pp : Format.formatter -> request -> unit
 (** One-line summary: program name, machine, variant, nprocs, mode. *)

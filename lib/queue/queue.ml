@@ -125,8 +125,7 @@ let record_failure t d msg =
 (* ------------------------------------------------------------------ *)
 (* Enqueue                                                             *)
 
-type enqueue_outcome =
-  [ `Enqueued | `Already_queued | `Already_failed | `Not_cacheable ]
+type enqueue_outcome = [ `Enqueued | `Already_queued | `Already_failed ]
 
 let lease_held t d =
   List.exists
@@ -134,16 +133,14 @@ let lease_held t d =
     (files (leases_dir t) lease_ext)
 
 let enqueue t req : enqueue_outcome =
-  if not (Batch.Store.cacheable req) then `Not_cacheable
-  else
-    let d = Sim.digest req in
-    if Sys.file_exists (failed_path t d) then `Already_failed
-    else if Sys.file_exists (task_path t d) || lease_held t d then
-      `Already_queued
-    else if write_atomic ~dir:(tasks_dir t) ~path:(task_path t d)
-              (Sim.canonical req)
-    then `Enqueued
-    else `Already_queued
+  let d = Sim.digest req in
+  if Sys.file_exists (failed_path t d) then `Already_failed
+  else if Sys.file_exists (task_path t d) || lease_held t d then
+    `Already_queued
+  else if write_atomic ~dir:(tasks_dir t) ~path:(task_path t d)
+            (Sim.canonical req)
+  then `Enqueued
+  else `Already_queued
 
 type enqueue_stats = {
   e_total : int;  (** requests submitted *)
@@ -152,7 +149,6 @@ type enqueue_stats = {
   e_enqueued : int;  (** task files written *)
   e_queued_before : int;  (** already pending or leased *)
   e_failed_before : int;  (** terminally failed earlier *)
-  e_uncacheable : int;
 }
 
 (* One sweep's misses into the queue.  The fingerprint file is written
@@ -165,8 +161,7 @@ let enqueue_misses ?(save_fingerprints = true) ?(cold = false) t ~store reqs =
   and hits = ref 0
   and enq = ref 0
   and qb = ref 0
-  and fb = ref 0
-  and unc = ref 0 in
+  and fb = ref 0 in
   List.iter
     (fun req ->
       incr total;
@@ -179,7 +174,6 @@ let enqueue_misses ?(save_fingerprints = true) ?(cold = false) t ~store reqs =
           | `Enqueued -> incr enq
           | `Already_queued -> incr qb
           | `Already_failed -> incr fb
-          | `Not_cacheable -> incr unc
       end)
     reqs;
   {
@@ -189,7 +183,6 @@ let enqueue_misses ?(save_fingerprints = true) ?(cold = false) t ~store reqs =
     e_enqueued = !enq;
     e_queued_before = !qb;
     e_failed_before = !fb;
-    e_uncacheable = !unc;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -49,7 +49,6 @@ type enqueue_outcome =
   [ `Enqueued  (** task file written *)
   | `Already_queued  (** pending or currently leased *)
   | `Already_failed  (** terminally failed; not retried *)
-  | `Not_cacheable  (** the store could never answer it (Full mode) *)
   ]
 
 val enqueue : t -> Lf_machine.Sim.request -> enqueue_outcome
@@ -64,7 +63,6 @@ type enqueue_stats = {
   e_enqueued : int;  (** task files written *)
   e_queued_before : int;  (** already pending or leased *)
   e_failed_before : int;  (** terminally failed earlier *)
-  e_uncacheable : int;
 }
 
 val enqueue_misses :

@@ -142,17 +142,6 @@ let handle_request t conn ~rid req =
     Atomic.incr t.n_overloaded;
     send t conn (Wire.Overloaded { rid; reason = "server is draining" })
   end
-  else if req.Sim.mode = Sim.Full then begin
-    Atomic.incr t.n_rejected;
-    send t conn
-      (Wire.Rejected
-         {
-           rid;
-           reason =
-             "full-mode requests are not servable (the array store is not \
-              serialised); use engine runs or miss-only";
-         })
-  end
   else
     (* fast path: a warm hit is answered here, on the connection's own
        thread — the admission queue and the worker domains never see

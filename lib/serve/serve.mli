@@ -25,9 +25,7 @@
     the connection lives on; a broken frame drops only that connection;
     a client disconnecting mid-request discards its queued jobs and
     its running job's result falls on the floor (still persisted to
-    the store).  [Full]-mode requests are refused up front: their
-    observable is the array store, which the wire (like the persistent
-    store) does not carry.
+    the store).
 
     {b Drain.}  {!stop} (wired to SIGINT/SIGTERM by {!run}) stops
     accepting connections and admissions, finishes every queued and

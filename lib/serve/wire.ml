@@ -353,8 +353,6 @@ let result_of_string text : (Exec.result, string) result =
       cold_misses;
       tlb_misses;
       proc_misses;
-      store =
-        { Lf_ir.Interp.arrays = Hashtbl.create 1; extents = Hashtbl.create 1 };
     }
   with
   | exception Parse_fail m -> Error m

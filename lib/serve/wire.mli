@@ -58,8 +58,8 @@ type server_msg =
           queue full, server-wide bound hit, or the server is
           draining).  The client may retry later. *)
   | Rejected of { rid : int; reason : string }
-      (** The request cannot be served (malformed payload, [Full]-mode
-          request, or the simulation itself failed). *)
+      (** The request cannot be served (malformed payload, an unknown
+          engine name among them, or the simulation itself failed). *)
   | Progress of progress
       (** Periodic while the request is computing; sourced from the
           [lf_obs] sink attached to the running simulation. *)
@@ -84,8 +84,7 @@ val request_of_canonical : string -> (Sim.request, string) result
 val result_to_string : Exec.result -> string
 
 val result_of_string : string -> (Exec.result, string) result
-(** Strict line-oriented parse; the returned result carries an empty
-    array store (like a store hit or a [Miss_only] run). *)
+(** Strict line-oriented parse, the inverse of {!result_to_string}. *)
 
 (** {1 Payload codecs (pure; framing-independent)} *)
 

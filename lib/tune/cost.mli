@@ -15,8 +15,8 @@
     (program, candidate, machine, processor count, steps, depth), so
     re-evaluating a configuration is a hash lookup.  Cold evaluations
     use the simulator's [Run_compressed] engine (cycle and miss counts
-    are bit-identical to a full run; only the store, which the tuner
-    never reads, is skipped) and are issued as content-addressed
+    are bit-identical to the scalar [Miss_only] replay) and are issued
+    as content-addressed
     requests through {!Lf_batch.Batch.run_one_with}, so the caller's
     {!Lf_batch.Run_opts.t} decides their host-domain parallelism and
     whether an on-disk {!Lf_batch.Batch.Store} answers and persists

@@ -13,7 +13,6 @@
      every digest and invalidates persisted results). *)
 
 module Ir = Lf_ir.Ir
-module Interp = Lf_ir.Interp
 module Schedule = Lf_core.Schedule
 module Partition = Lf_core.Partition
 module Machine = Lf_machine.Machine
@@ -72,7 +71,7 @@ type case = {
   mode_ix : int;
 }
 
-let modes = [| Sim.Full; Sim.Miss_only; Sim.Run_compressed |]
+let modes = [| Sim.Miss_only; Sim.Run_compressed |]
 
 let gen_case =
   let open Gen in
@@ -90,7 +89,7 @@ let gen_case =
       ]
   in
   let* steps = int_range 1 2 in
-  let* mode_ix = int_range 0 2 in
+  let* mode_ix = int_range 0 (Array.length modes - 1) in
   return { kernel; n; nprocs; strip; fuse; pick; steps; mode_ix }
 
 let arb_case =
@@ -107,17 +106,7 @@ let arb_case =
         (Sim.mode_to_string modes.(c.mode_ix)))
     gen_case
 
-let results_identical (a : Exec.result) (b : Exec.result) =
-  a.Exec.cycles = b.Exec.cycles
-  && a.Exec.phase_cycles = b.Exec.phase_cycles
-  && a.Exec.barrier_cycles = b.Exec.barrier_cycles
-  && a.Exec.total_refs = b.Exec.total_refs
-  && a.Exec.total_misses = b.Exec.total_misses
-  && a.Exec.cold_misses = b.Exec.cold_misses
-  && a.Exec.tlb_misses = b.Exec.tlb_misses
-  && a.Exec.proc_misses = b.Exec.proc_misses
-
-let counters_identical = results_identical
+let results_identical = Tutil.results_identical
 
 (* ------------------------------------------------------------------ *)
 (* Request builders vs explicit schedules                              *)
@@ -125,8 +114,7 @@ let counters_identical = results_identical
 (* Sim.fused/Sim.unfused request the schedule that Schedule.fused/
    unfused builds: the builder's request (rebuilt from the program at
    replay time) simulates exactly like the Explicit request carrying
-   that schedule structurally — every counter, the sink totals, and
-   the store in Full mode. *)
+   that schedule structurally — every counter and the sink totals. *)
 let prop_builders_equal_explicit ~machine name =
   Test.make ~count:40
     ~name:("Sim builders = of_schedule (" ^ name ^ ")")
@@ -160,8 +148,6 @@ let prop_builders_equal_explicit ~machine name =
           Test.fail_report "builder request differs from Explicit request";
         if b_totals <> e_totals then
           Test.fail_report "sink totals differ";
-        if not (Interp.equal b.Exec.store e.Exec.store) then
-          Test.fail_report "store differs";
         true)
 
 (* ------------------------------------------------------------------ *)
@@ -197,12 +183,10 @@ let test_store_roundtrip () =
   | None -> Alcotest.fail "lookup missed after add"
   | Some got ->
     Alcotest.(check bool) "bit-identical round trip" true
-      (counters_identical res got);
-    Alcotest.(check int) "replayed store is empty" 0
-      (Hashtbl.length got.Exec.store.Interp.arrays)
+      (results_identical res got)
 
-(* QCheck round trip across kernels/modes: every cacheable request's
-   result survives the store byte-for-byte. *)
+(* QCheck round trip across kernels/modes: every request's result
+   survives the store byte-for-byte. *)
 let prop_store_roundtrip =
   Test.make ~count:25 ~name:"store round trip is bit-exact (all kernels)"
     arb_case
@@ -225,20 +209,15 @@ let prop_store_roundtrip =
       | res -> (
         let store = scratch_store () in
         let req = req () in
-        let added = Store.add store req res in
-        if mode = Sim.Full then (
-          if added then Test.fail_report "Full-mode request was persisted";
-          if Store.lookup store req <> None then
-            Test.fail_report "Full-mode request answered from store";
-          true)
-        else
-          match Store.lookup store req with
-          | None -> Test.fail_report "round trip missed"
-          | Some got ->
-            if not (counters_identical res got) then
-              Test.fail_report "round trip not bit-identical";
-            ignore (Store.clear store);
-            true))
+        if not (Store.add store req res) then
+          Test.fail_report "add refused a request";
+        match Store.lookup store req with
+        | None -> Test.fail_report "round trip missed"
+        | Some got ->
+          if not (results_identical res got) then
+            Test.fail_report "round trip not bit-identical";
+          ignore (Store.clear store);
+          true))
 
 (* Corrupt entries are misses, never crashes: truncation, garbage,
    bit flips, a stale version salt, an empty file. *)
@@ -303,7 +282,7 @@ let test_store_corruption () =
   (match Store.lookup store req with
   | Some got ->
     Alcotest.(check bool) "restored entry hits" true
-      (counters_identical res got)
+      (results_identical res got)
   | None -> Alcotest.fail "restored entry missed");
   ignore (Store.clear store)
 
@@ -326,7 +305,7 @@ let test_store_concurrent_writers () =
   (match Store.lookup store req with
   | Some got ->
     Alcotest.(check bool) "entry readable after racing writers" true
-      (counters_identical res got)
+      (results_identical res got)
   | None -> Alcotest.fail "entry missing after racing writers");
   let st = Store.stats store in
   Alcotest.(check int) "exactly one entry" 1 st.Store.entries;
@@ -378,6 +357,8 @@ let test_batch_dedup_and_hits () =
   Array.iteri
     (fun i (o : Batch.outcome) ->
       Alcotest.(check bool) "marked from_store" true o.Batch.from_store;
+      (* wall-clock lives outside the persisted entry *)
+      Alcotest.(check (float 0.0)) "warm wall_s is 0" 0.0 o.Batch.wall_s;
       Alcotest.(check bool) "warm result bit-identical" true
         (results_identical (Result.get_ok o.Batch.result) results.(i)))
     outcomes2;
@@ -484,7 +465,7 @@ let test_digest_golden () =
     (Sim.digest ll18);
   Alcotest.(check string) "jacobi unfused digest" "e1a08727634c4bbbf17bcdc1f7b735d7"
     (Sim.digest jacobi);
-  Alcotest.(check string) "calc explicit digest" "8117871436bba3a9b65ed8e4e1ecae6c"
+  Alcotest.(check string) "calc explicit digest" "1a12cf22f0e1b89600a4cf13c7b78e80"
     (Sim.digest explicit)
 
 let test_digest_discriminates () =
@@ -618,13 +599,16 @@ let test_mode_strings () =
       match Sim.mode_of_string (Sim.mode_to_string m) with
       | Ok m' -> Alcotest.(check bool) "mode round trip" true (m = m')
       | Error e -> Alcotest.fail e)
-    [ Sim.Full; Sim.Miss_only; Sim.Run_compressed ];
+    [ Sim.Miss_only; Sim.Run_compressed ];
   (match Sim.mode_of_string "run-compressed" with
   | Ok Sim.Run_compressed -> ()
   | _ -> Alcotest.fail "run-compressed alias rejected");
-  match Sim.mode_of_string "warp-speed" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "nonsense engine accepted"
+  List.iter
+    (fun s ->
+      match Sim.mode_of_string s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "engine %s accepted" s)
+    [ "warp-speed"; "full" ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache.geometry (API-redesign satellite)                             *)
@@ -646,38 +630,6 @@ let test_cache_geometry () =
   | _ -> Alcotest.fail "of_geometry accepted a non-power-of-two line"
 
 (* ------------------------------------------------------------------ *)
-
-(* The store guard is an explicit allow-list of pure simulation modes:
-   only requests whose observables are deterministic functions of the
-   request may persist.  Full mode is out (its observable is the array
-   store, which is not serialised), and measured wall-clock from the
-   native backend is excluded *by type* — a Lf_native.Native.timing is
-   not an Exec.result and has no Sim.request digest to be filed under,
-   so there is no code path by which host time can reach _lf_cache/.
-   This test pins the allow-list; the Full-mode half is also covered
-   end-to-end by prop_store_roundtrip above. *)
-let test_cacheable_allowlist () =
-  Alcotest.(check bool)
-    "Miss_only is cacheable" true
-    (Store.cacheable (sample_request ~mode:Sim.Miss_only ()));
-  Alcotest.(check bool)
-    "Run_compressed is cacheable" true
-    (Store.cacheable (sample_request ~mode:Sim.Run_compressed ()));
-  Alcotest.(check bool)
-    "Full is excluded" false
-    (Store.cacheable (sample_request ~mode:Sim.Full ()));
-  (* a warm hit reports zero wall time: wall-clock lives outside the
-     persisted entry *)
-  let store = scratch_store () in
-  let req = sample_request ~n:24 () in
-  let outcomes, _ = Batch.run_with (in_store store) [ req ] in
-  Alcotest.(check bool)
-    "cold run takes time" true
-    (outcomes.(0).Batch.wall_s >= 0.0 && not outcomes.(0).Batch.from_store);
-  let warm, _ = Batch.run_with (in_store store) [ req ] in
-  Alcotest.(check bool) "warm hit" true warm.(0).Batch.from_store;
-  Alcotest.(check (float 0.0)) "warm wall_s is 0" 0.0 warm.(0).Batch.wall_s;
-  ignore (Store.clear store)
 
 let machine_cases =
   [ (Machine.convex, "convex"); (Machine.ksr2, "ksr2") ]
@@ -718,6 +670,4 @@ let suite =
         test_fingerprint_stats;
       Alcotest.test_case "mode string round trip" `Quick test_mode_strings;
       Alcotest.test_case "Cache.geometry record" `Quick test_cache_geometry;
-      Alcotest.test_case "cacheable is an allow-list" `Quick
-        test_cacheable_allowlist;
     ]

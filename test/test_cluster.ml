@@ -145,12 +145,11 @@ let test_cluster_then_simulate () =
   let p = mixed_program () in
   let gs = Cluster.groups p in
   let sched = Cluster.schedule ~nprocs:2 ~strip:8 p gs in
-  let r =
-    Lf_machine.Exec.run_opts Lf_machine.Exec.default_opts
-      (Lf_machine.Sim.of_schedule ~machine:Lf_machine.Machine.convex sched)
-  in
-  check bool "simulated semantics" true
-    (Interp.equal (Interp.run p) r.Lf_machine.Exec.store)
+  ignore
+    (Tutil.run_walked
+       (Lf_machine.Sim.of_schedule ~machine:Lf_machine.Machine.convex sched));
+  check bool "schedule semantics" true
+    (Interp.equal (Interp.run p) (Schedule.execute sched))
 
 let suite =
   [

@@ -1,13 +1,13 @@
-(* The domain-parallel engine and the miss-only fast path.
+(* The domain-parallel engine and its two replay tiers.
 
    The tentpole invariant of the host-parallel simulator: the result of
-   [Exec.run_opts] — store, cycles, per-phase cycles, per-processor
-   misses, and everything an attached sink records — is bit-identical
-   for every [jobs] value.  Checked as a QCheck property over the
+   [Exec.run_opts] — cycles, per-phase cycles, per-processor misses,
+   and everything an attached sink records — is bit-identical for every
+   [jobs] value, and the run-compressed tier is bit-identical to the
+   scalar miss-only replay.  Checked as QCheck properties over the
    paper's six kernels (LL18, calc, jacobi, filter, tomcatv, hydro2d)
    with random grids, strips, layouts and jobs in 1..8, and directed
-   tests for the miss-only mode, explicit pools, and the LF_JOBS
-   default. *)
+   tests for the two tiers, explicit pools, and the LF_JOBS default. *)
 
 module Ir = Lf_ir.Ir
 module Interp = Lf_ir.Interp
@@ -101,17 +101,7 @@ let arb_case =
         c.jobs c.steps)
     gen_case
 
-(* Full structural equality of two results, store included. *)
-let results_identical (a : Exec.result) (b : Exec.result) =
-  a.Exec.cycles = b.Exec.cycles
-  && a.Exec.phase_cycles = b.Exec.phase_cycles
-  && a.Exec.barrier_cycles = b.Exec.barrier_cycles
-  && a.Exec.total_refs = b.Exec.total_refs
-  && a.Exec.total_misses = b.Exec.total_misses
-  && a.Exec.cold_misses = b.Exec.cold_misses
-  && a.Exec.tlb_misses = b.Exec.tlb_misses
-  && a.Exec.proc_misses = b.Exec.proc_misses
-  && Interp.equal a.Exec.store b.Exec.store
+let results_identical = Tutil.results_identical
 
 let sinks_identical a b =
   Obs.totals a = Obs.totals b
@@ -136,58 +126,18 @@ let prop_parallel_identical ~machine name =
       | sched ->
         let layout = layout_of_pick ~machine c.pick p in
         let s_sink = Obs.create () and j_sink = Obs.create () in
-        let serial =
-          Exec.run_opts (Exec.opts ~sink:s_sink ~jobs:1 ())
-            (Sim.of_schedule ~layout ~machine ~steps:c.steps sched)
+        (* the scalar tier; Run_compressed under jobs > 1 is covered
+           by prop_run_compressed_identical *)
+        let req =
+          Sim.of_schedule ~mode:Exec.Miss_only ~layout ~machine
+            ~steps:c.steps sched
         in
-        let par =
-          Exec.run_opts (Exec.opts ~sink:j_sink ~jobs:c.jobs ())
-            (Sim.of_schedule ~layout ~machine ~steps:c.steps sched)
-        in
+        let serial = Exec.run_opts (Exec.opts ~sink:s_sink ~jobs:1 ()) req in
+        let par = Exec.run_opts (Exec.opts ~sink:j_sink ~jobs:c.jobs ()) req in
         if not (results_identical serial par) then
           Test.fail_report "parallel result differs from serial";
         if not (sinks_identical s_sink j_sink) then
           Test.fail_report "sink contents differ under jobs>1";
-        true)
-
-(* Miss-only mode: every performance observable matches the full
-   simulation exactly; only the store is empty. *)
-let prop_miss_only_matches ~machine name =
-  Test.make ~count:40
-    ~name:("miss-only counters match full simulation (" ^ name ^ ")")
-    arb_case
-    (fun c ->
-      let _, mk = kernels.(c.kernel) in
-      let p = mk c.n in
-      match schedule_of_case c p with
-      | exception Schedule.Illegal _ -> true
-      | exception Invalid_argument _ -> true
-      | sched ->
-        let layout = layout_of_pick ~machine c.pick p in
-        let f_sink = Obs.create () and m_sink = Obs.create () in
-        let full =
-          Exec.run_opts (Exec.opts ~sink:f_sink ~jobs:1 ())
-            (Sim.of_schedule ~layout ~machine ~steps:c.steps sched)
-        in
-        let miss =
-          Exec.run_opts (Exec.opts ~sink:m_sink ~jobs:c.jobs ())
-            (Sim.of_schedule ~mode:Exec.Miss_only ~layout ~machine
-               ~steps:c.steps sched)
-        in
-        let counters_ok =
-          full.Exec.cycles = miss.Exec.cycles
-          && full.Exec.phase_cycles = miss.Exec.phase_cycles
-          && full.Exec.barrier_cycles = miss.Exec.barrier_cycles
-          && full.Exec.total_refs = miss.Exec.total_refs
-          && full.Exec.total_misses = miss.Exec.total_misses
-          && full.Exec.cold_misses = miss.Exec.cold_misses
-          && full.Exec.tlb_misses = miss.Exec.tlb_misses
-          && full.Exec.proc_misses = miss.Exec.proc_misses
-        in
-        if not counters_ok then
-          Test.fail_report "miss-only counters differ from full simulation";
-        if not (sinks_identical f_sink m_sink) then
-          Test.fail_report "miss-only sink differs from full simulation";
         true)
 
 (* ------------------------------------------------------------------ *)
@@ -241,9 +191,9 @@ let arb_run_case =
     gen
 
 (* Every observable of the run-compressed engine — counters, cycles,
-   store (empty), the attached sink's totals and event stream — must be
-   bit-identical to the scalar address-stream replay, for every
-   geometry and jobs count. *)
+   the attached sink's totals and event stream — must be bit-identical
+   to the scalar address-stream replay, for every geometry and jobs
+   count. *)
 let prop_run_compressed_identical =
   Test.make ~count:120
     ~name:"run-compressed engine is bit-identical to scalar replay"
@@ -325,8 +275,9 @@ let test_run_compressed_oob () =
 (* ------------------------------------------------------------------ *)
 (* Directed tests                                                       *)
 
-(* The three kernels named by the issue, at a fixed size, fused and
-   unfused, including proc0 (the Figures 18/20 measure). *)
+(* The paper's three kernels at a fixed size, fused and unfused: the
+   default run-compressed tier against the scalar replay, including
+   proc0 (the Figures 18/20 measure). *)
 let test_miss_only_directed () =
   let machine = Machine.convex in
   List.iter
@@ -338,7 +289,7 @@ let test_miss_only_directed () =
             if fused then Schedule.fused ~nprocs:4 ~strip:5 p
             else Schedule.unfused ~nprocs:4 p
           in
-          let full =
+          let runs =
             Exec.run_opts Exec.default_opts
               (Sim.of_schedule ~layout ~machine sched)
           in
@@ -348,18 +299,18 @@ let test_miss_only_directed () =
           in
           let tag b = Printf.sprintf "%s fused=%b" name b in
           Alcotest.(check int)
-            (tag fused ^ " misses") full.Exec.total_misses
+            (tag fused ^ " misses") runs.Exec.total_misses
             miss.Exec.total_misses;
           Alcotest.(check int)
-            (tag fused ^ " tlb") full.Exec.tlb_misses miss.Exec.tlb_misses;
+            (tag fused ^ " tlb") runs.Exec.tlb_misses miss.Exec.tlb_misses;
           Alcotest.(check int)
-            (tag fused ^ " refs") full.Exec.total_refs miss.Exec.total_refs;
+            (tag fused ^ " refs") runs.Exec.total_refs miss.Exec.total_refs;
           Alcotest.(check int)
-            (tag fused ^ " proc0") (Exec.proc0_misses full)
+            (tag fused ^ " proc0") (Exec.proc0_misses runs)
             (Exec.proc0_misses miss);
           Alcotest.(check bool)
             (tag fused ^ " cycles") true
-            (full.Exec.cycles = miss.Exec.cycles))
+            (runs.Exec.cycles = miss.Exec.cycles))
         [ false; true ])
     [
       ("ll18", Lf_kernels.Ll18.program ~n:40 ());
@@ -451,7 +402,6 @@ let suite =
   [
     Tutil.to_alcotest (prop_parallel_identical ~machine:Machine.ksr2 "ksr2");
     Tutil.to_alcotest (prop_parallel_identical ~machine:Machine.convex "convex");
-    Tutil.to_alcotest (prop_miss_only_matches ~machine:Machine.convex "convex");
     Tutil.to_alcotest prop_run_compressed_identical;
     Alcotest.test_case "run-compressed: out-of-bounds parity" `Quick
       test_run_compressed_oob;

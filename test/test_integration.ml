@@ -24,22 +24,20 @@ let partitioned m (p : Ir.program) =
     }
     p.Ir.decls
 
-(* Full pipeline: every kernel, simulated fused on 4 processors, equals
-   the reference interpreter and beats the unfused version in misses
-   when the data exceeds the caches. *)
+(* Whole pipeline: every kernel, simulated fused on 4 processors,
+   walks a schedule that equals the reference interpreter, and beats
+   the unfused version in misses when the data exceeds the caches. *)
 let test_pipeline_kernels () =
   let machine = Machine.ksr2 in
   List.iter
     (fun (p, strip) ->
       let layout = partitioned machine p in
-      let f =
-        Exec.run_opts Exec.default_opts
-          (Sim.fused ~layout ~machine ~nprocs:4 ~strip p)
-      in
+      let req = Sim.fused ~layout ~machine ~nprocs:4 ~strip p in
+      let f = Tutil.run_walked req in
       check bool
         (p.Ir.pname ^ " semantics")
         true
-        (Interp.equal (Interp.run p) f.Exec.store);
+        (Interp.equal (Interp.run p) (Schedule.execute (Sim.schedule_of req)));
       let u =
         Exec.run_opts Exec.default_opts
           (Sim.unfused ~layout ~machine ~nprocs:4 p)
@@ -104,21 +102,22 @@ let test_peeling_beats_alignrep () =
   | Error m -> Alcotest.fail m
   | Ok r ->
     let f =
-      Exec.run_opts Exec.default_opts
+      Tutil.run_walked
         (Sim.fused ~layout:(partitioned machine p) ~machine ~nprocs:4
            ~strip:8 p)
     in
     let sched = Alignrep.schedule ~nprocs:4 ~strip:8 r in
     let a =
-      Exec.run_opts Exec.default_opts
+      Tutil.run_walked
         (Sim.of_schedule ~layout:(partitioned machine r.Alignrep.prog)
            ~machine sched)
     in
+    let reference = Interp.run p and replicated = Schedule.execute sched in
     check bool "alignrep result correct" true
       (List.for_all
          (fun (d : Ir.decl) ->
-           Interp.find_array f.Exec.store d.Ir.aname
-           = Interp.find_array a.Exec.store d.Ir.aname)
+           Interp.find_array reference d.Ir.aname
+           = Interp.find_array replicated d.Ir.aname)
          p.Ir.decls);
     check bool "peeling faster" true (f.Exec.cycles < a.Exec.cycles)
 

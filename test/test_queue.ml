@@ -36,21 +36,12 @@ let scratch_dir tag =
 let scratch_store () = Store.open_ ~dir:(scratch_dir "store") ()
 let scratch_queue () = Queue.open_ ~dir:(scratch_dir "q")
 
-(* A small, fast, all-legal request mix (Run_compressed + Miss_only,
-   both cacheable). *)
+(* A small, fast, all-legal request mix (Run_compressed + Miss_only). *)
 let mini_mix ?(n = 24) () =
   Sweep.mix ~kernels:[ "ll18"; "jacobi" ] ~machines:[ Machine.convex ]
     ~nprocs:2 ~n ()
 
-let results_identical (a : Exec.result) (b : Exec.result) =
-  a.Exec.cycles = b.Exec.cycles
-  && a.Exec.phase_cycles = b.Exec.phase_cycles
-  && a.Exec.barrier_cycles = b.Exec.barrier_cycles
-  && a.Exec.total_refs = b.Exec.total_refs
-  && a.Exec.total_misses = b.Exec.total_misses
-  && a.Exec.cold_misses = b.Exec.cold_misses
-  && a.Exec.tlb_misses = b.Exec.tlb_misses
-  && a.Exec.proc_misses = b.Exec.proc_misses
+let results_identical = Tutil.results_identical
 
 (* In-process workers compute serially, like the reference below. *)
 let serial = Run_opts.make ~jobs:1 ()
@@ -101,16 +92,6 @@ let test_enqueue_misses () =
   Alcotest.(check int) "nothing re-enqueued" 0 st2.Queue.e_enqueued;
   Alcotest.(check int) "repeats counted" (unique - 1)
     st2.Queue.e_queued_before;
-  (* Full mode can never be answered by the store *)
-  let full =
-    let p = Lf_kernels.Ll18.program ~n:24 () in
-    Sim.fused ~strip:6
-      ~layout:(Partition.contiguous p.Ir.decls)
-      ~mode:Sim.Full ~machine:Machine.convex ~nprocs:2 p
-  in
-  (match Queue.enqueue q full with
-  | `Not_cacheable -> ()
-  | _ -> Alcotest.fail "Full-mode request accepted by the queue");
   ignore (Store.clear store)
 
 (* QCheck: over random sub-mixes, the enqueue outcome counts always
@@ -129,7 +110,7 @@ let prop_enqueue_drain =
       let st = Queue.enqueue_misses q ~store reqs in
       if
         st.Queue.e_hits + st.Queue.e_enqueued + st.Queue.e_queued_before
-        + st.Queue.e_failed_before + st.Queue.e_uncacheable
+        + st.Queue.e_failed_before
         <> st.Queue.e_unique
       then Test.fail_report "outcome counts do not partition e_unique";
       let ws = Queue.worker ~wid:"prop" ~opts:serial ~store q in

@@ -121,11 +121,11 @@ let test_of_env () =
   (* LF_JOBS is never read into [jobs]: Exec.default_jobs stays the one
      source of its value, and the CLI's Common.apply_jobs its one check
      (a malformed value is pinned to exit 124 in test/dune) *)
-  with_env [ ("LF_ENGINE", "full"); ("LF_JOBS", "3") ] (fun () ->
+  with_env [ ("LF_ENGINE", "miss-only"); ("LF_JOBS", "3") ] (fun () ->
       match Run_opts.of_env ~base:(Run_opts.make ~jobs:7 ()) () with
       | Ok t ->
         Alcotest.(check bool) "base fields survive" true
-          (t.Run_opts.jobs = Some 7 && t.Run_opts.engine = Sim.Full)
+          (t.Run_opts.jobs = Some 7 && t.Run_opts.engine = Sim.Miss_only)
       | Error e -> Alcotest.fail e);
   List.iter
     (fun v ->
@@ -146,6 +146,7 @@ let test_of_env () =
             (Tutil.contains e var))
   in
   expect_error "LF_ENGINE" [ ("LF_ENGINE", "warp-speed") ];
+  expect_error "LF_ENGINE" [ ("LF_ENGINE", "full") ];
   expect_error "LF_TIMEOUT_S" [ ("LF_TIMEOUT_S", "-3") ];
   expect_error "LF_TIMEOUT_S" [ ("LF_TIMEOUT_S", "soon") ];
   expect_error "LF_STORE" [ ("LF_STORE", "maybe") ];

@@ -106,7 +106,7 @@ let pick_gen =
     map
       (fun (ki, n, mi, v, m, steps, wl) -> (ki, n, mi, v, m, steps, wl))
       (tup7 (int_bound 10) (oneofl [ 24; 32; 40 ]) bool (int_bound 3)
-         (oneofl [ Sim.Full; Sim.Miss_only; Sim.Run_compressed ])
+         (oneofl [ Sim.Miss_only; Sim.Run_compressed ])
          (oneofl [ 1; 2; 5 ])
          bool))
 
@@ -219,15 +219,7 @@ let t_server_msg_roundtrip =
       | Ok msg' -> server_msg_eq msg msg'
       | Error m -> Test.fail_reportf "decode failed: %s" m)
 
-let results_identical (a : Exec.result) (b : Exec.result) =
-  bits a.Exec.cycles = bits b.Exec.cycles
-  && Array.map bits a.Exec.phase_cycles = Array.map bits b.Exec.phase_cycles
-  && bits a.Exec.barrier_cycles = bits b.Exec.barrier_cycles
-  && a.Exec.total_refs = b.Exec.total_refs
-  && a.Exec.total_misses = b.Exec.total_misses
-  && a.Exec.cold_misses = b.Exec.cold_misses
-  && a.Exec.tlb_misses = b.Exec.tlb_misses
-  && a.Exec.proc_misses = b.Exec.proc_misses
+let results_identical = Tutil.results_identical
 
 let sample_result =
   lazy
@@ -469,16 +461,41 @@ let server_robustness () =
       (* 3. a fresh connection is served normally afterwards *)
       let c = Client.connect ~socket () in
       Alcotest.(check bool) "server alive after broken frame" true (Client.ping c);
-      (* 4. Full-mode requests are refused up front *)
-      let full_req =
-        Sim.fused ~mode:Sim.Full ~machine:Machine.convex ~nprocs:4 ~strip:8
-          (Lf_kernels.Jacobi.program ~n:32 ())
-      in
-      (match Client.request_sync c ~rid:7 full_req with
-      | Ok (Client.Rejected _) -> ()
-      | Ok _ -> Alcotest.fail "Full-mode request must be Rejected"
-      | Error e -> Alcotest.failf "transport: %s" e);
       Client.close c;
+      (* 4. a request frame naming an unknown engine ("full", no longer
+         a tier) is Rejected, and the connection lives on *)
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let payload =
+        Wire.client_msg_to_payload
+          (Wire.Request
+             {
+               rid = 7;
+               req =
+                 Sim.fused ~mode:Sim.Miss_only ~machine:Machine.convex
+                   ~nprocs:4 ~strip:8
+                   (Lf_kernels.Jacobi.program ~n:32 ());
+             })
+      in
+      let suffix = "\nmode miss-only" in
+      let keep = String.length payload - String.length suffix in
+      Alcotest.(check string) "payload ends with its mode" suffix
+        (String.sub payload keep (String.length suffix));
+      Wire.write_frame fd (String.sub payload 0 keep ^ "\nmode full");
+      (match Wire.read_frame fd with
+      | Ok p -> (
+        match Wire.server_msg_of_payload p with
+        | Ok (Wire.Rejected _) -> ()
+        | _ -> Alcotest.fail "expected Rejected for mode full")
+      | Error e -> Alcotest.failf "read: %s" (Wire.read_error_to_string e));
+      Wire.write_frame fd (Wire.client_msg_to_payload Wire.Ping);
+      (match Wire.read_frame fd with
+      | Ok p -> (
+        match Wire.server_msg_of_payload p with
+        | Ok Wire.Pong -> ()
+        | _ -> Alcotest.fail "expected Pong after a rejected mode")
+      | Error e -> Alcotest.failf "read: %s" (Wire.read_error_to_string e));
+      Unix.close fd;
       (* 5. disconnecting mid-request leaves the server healthy *)
       let c = Client.connect ~socket () in
       let slow =

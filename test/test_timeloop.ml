@@ -40,12 +40,11 @@ let test_schedule_steps_equivalence () =
 
 let test_exec_steps_semantics () =
   let p = Lf_kernels.Jacobi.program ~n:24 () in
-  let reference = Interp.run ~steps:5 p in
-  let r =
-    Exec.run_opts Exec.default_opts
-      (Sim.fused ~machine:Machine.convex ~nprocs:2 ~strip:4 ~steps:5 p)
-  in
-  check bool "simulated 5 steps" true (Interp.equal reference r.Exec.store)
+  let req = Sim.fused ~machine:Machine.convex ~nprocs:2 ~strip:4 ~steps:5 p in
+  ignore (Tutil.run_walked req);
+  check bool "5 steps of the simulated schedule" true
+    (Interp.equal (Interp.run ~steps:5 p)
+       (Schedule.execute ~steps:5 (Sim.schedule_of req)))
 
 let test_steps_amortize_cold_misses () =
   (* with data fitting in cache, later steps hit: misses grow far less

@@ -89,16 +89,10 @@ let test_simulated_peeling_beats_wavefront_1d () =
   let machine = Lf_machine.Machine.convex in
   let wf = Wavefront.schedule ~tile:16 ~nprocs:4 p in
   let sp = Schedule.fused ~strip:16 ~nprocs:4 p in
-  let r_wf =
-    Lf_machine.Exec.run_opts Lf_machine.Exec.default_opts
-      (Lf_machine.Sim.of_schedule ~machine wf)
-  in
-  let r_sp =
-    Lf_machine.Exec.run_opts Lf_machine.Exec.default_opts
-      (Lf_machine.Sim.of_schedule ~machine sp)
-  in
+  let r_wf = Tutil.run_walked (Lf_machine.Sim.of_schedule ~machine wf) in
+  let r_sp = Tutil.run_walked (Lf_machine.Sim.of_schedule ~machine sp) in
   check bool "wavefront result correct" true
-    (Interp.equal r_wf.Lf_machine.Exec.store r_sp.Lf_machine.Exec.store);
+    (Interp.equal (Interp.run p) (Schedule.execute wf));
   check bool "peeling at least 2x faster" true
     (r_wf.Lf_machine.Exec.cycles > 2.0 *. r_sp.Lf_machine.Exec.cycles)
 

@@ -1,6 +1,10 @@
 (* Small helpers shared by the test suites. *)
 
 module Ir = Lf_ir.Ir
+module Schedule = Lf_core.Schedule
+module Exec = Lf_machine.Exec
+module Sim = Lf_machine.Sim
+module Obs = Lf_obs.Obs
 
 (* Reproducible QCheck runs: an explicit seed, overridable with
    LF_QCHECK_SEED, so CI failures replay deterministically. *)
@@ -70,3 +74,107 @@ let chain_program ?(name = "chain") ~lo ~hi offsets_per_nest =
   in
   Ir.validate p;
   p
+
+(* Bit-exact equality of two engine results, floats compared by their
+   IEEE-754 bits. *)
+let results_identical (a : Exec.result) (b : Exec.result) =
+  let bits = Int64.bits_of_float in
+  bits a.Exec.cycles = bits b.Exec.cycles
+  && Array.map bits a.Exec.phase_cycles = Array.map bits b.Exec.phase_cycles
+  && bits a.Exec.barrier_cycles = bits b.Exec.barrier_cycles
+  && a.Exec.total_refs = b.Exec.total_refs
+  && a.Exec.total_misses = b.Exec.total_misses
+  && a.Exec.cold_misses = b.Exec.cold_misses
+  && a.Exec.tlb_misses = b.Exec.tlb_misses
+  && a.Exec.proc_misses = b.Exec.proc_misses
+
+(* Run [req] with an attached sink and check, against figures computed
+   without the engine, that it walked the request's schedule:
+   - for every (step, phase, processor), the Box events in stream order
+     name that processor's boxes in the schedule: the same nest and
+     the same [Schedule.box_iterations];
+   - each array's reference count is, summed over every point of every
+     box and every statement whose guard holds there, one per read of
+     the array plus one if it is the written array (times the steps).
+   Fails the test on a mismatch; returns the result. *)
+let run_walked (req : Sim.request) =
+  let sched = Sim.schedule_of req in
+  let steps = req.Sim.steps in
+  let sink = Obs.create () in
+  let r = Exec.run_opts (Exec.opts ~sink ()) req in
+  let key (step, phase, proc, _) = (step, phase, proc) in
+  let walked =
+    List.filter_map
+      (function
+        | Obs.Box { step; phase; proc; nest; iters; _ } ->
+          Some (step, phase, proc, (nest, iters))
+        | _ -> None)
+      (Obs.events sink)
+    |> List.stable_sort (fun a b -> compare (key a) (key b))
+  in
+  let scheduled =
+    List.concat_map
+      (fun step ->
+        List.concat
+          (List.mapi
+             (fun phase (ph : Schedule.phase) ->
+               List.concat
+                 (Array.to_list
+                    (Array.mapi
+                       (fun proc boxes ->
+                         List.map
+                           (fun (b : Schedule.box) ->
+                             ( step,
+                               phase,
+                               proc,
+                               (b.Schedule.nest, Schedule.box_iterations b) ))
+                           boxes)
+                       ph)))
+             sched.Schedule.phases))
+      (List.init steps (fun s -> s + 1))
+  in
+  if walked <> scheduled then
+    Alcotest.failf "engine walked %d boxes; the schedule has %d (%s)"
+      (List.length walked) (List.length scheduled)
+      "or they differ in nest, iterations or order";
+  let prog = sched.Schedule.prog in
+  let nests = Array.of_list prog.Ir.nests in
+  let refs = Hashtbl.create 16 in
+  let count a =
+    Hashtbl.replace refs a
+      (steps + Option.value (Hashtbl.find_opt refs a) ~default:0)
+  in
+  List.iter
+    (Array.iter
+       (List.iter (fun (b : Schedule.box) ->
+            let n = nests.(b.Schedule.nest) in
+            let index = List.mapi (fun i v -> (v, i)) (Ir.nest_vars n) in
+            let point = Array.make (List.length index) 0 in
+            let env x = point.(List.assoc x index) in
+            let rec walk d =
+              if d = Array.length point then
+                List.iter
+                  (fun (s : Ir.stmt) ->
+                    if Ir.guard_holds s.Ir.guard env then
+                      List.iter
+                        (fun (a : Ir.aref) -> count a.Ir.array)
+                        (s.Ir.lhs :: Ir.stmt_reads s))
+                  n.Ir.body
+              else
+                let lo, hi = b.Schedule.ranges.(d) in
+                for v = lo to hi do
+                  point.(d) <- v;
+                  walk (d + 1)
+                done
+            in
+            walk 0)))
+    sched.Schedule.phases;
+  List.iter
+    (fun (d : Ir.decl) ->
+      let want = Option.value (Hashtbl.find_opt refs d.Ir.aname) ~default:0 in
+      let got = (Obs.total_of ~array_:d.Ir.aname sink).Obs.t_refs in
+      if got <> want then
+        Alcotest.failf "array %s: the engine issued %d references, the IR %d"
+          d.Ir.aname got want)
+    prog.Ir.decls;
+  r

@@ -85,6 +85,24 @@ let test_cache_throughput =
            ignore (Lf_cache.Cache.access c (i * 8))
          done))
 
+(* 100k scalar probes of the Convex's 120-entry fully associative TLB,
+   cycling over 100 pages of a footprint-sized instance: after the first
+   pass every access hits, found through the line -> way index. *)
+let test_tlb_throughput =
+  let shape = Option.get Machine.convex.Machine.tlb in
+  let pages = 100 in
+  let span = pages * shape.Lf_cache.Cache.line in
+  let c =
+    Lf_cache.Cache.of_geometry (Lf_cache.Cache.geometry ~footprint:span shape)
+  in
+  Test.make ~name:"substrate/tlb-100k-accesses"
+    (Staged.stage (fun () ->
+         let addr = ref 0 in
+         for _ = 1 to 100_000 do
+           ignore (Lf_cache.Cache.access c !addr);
+           addr := (!addr + shape.Lf_cache.Cache.line + 8) mod span
+         done))
+
 (* The same 100k-access unit stream consumed as one run: the batched
    tier pays one way probe per line group instead of one per access. *)
 let test_cache_run_throughput =
@@ -127,6 +145,7 @@ let all_tests pools =
        test_f23_sim;
        test_f26_alignrep;
        test_cache_throughput;
+       test_tlb_throughput;
        test_cache_run_throughput;
        test_tune_exact_cold;
        test_tune_exact_memo;

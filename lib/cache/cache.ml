@@ -14,7 +14,15 @@
      consecutive accesses that fall in one cache line and updating
      counters, the clock and the LRU stamps in closed form to exactly
      the values the scalar loop would produce (see exec.ml / DESIGN
-     §6b for the argument). *)
+     §6b for the argument).
+
+   The workload footprint sizes two dense per-line structures over the
+   line addresses [0, seen_lines): the cold-miss bitset of every
+   instance, and, for instances with one set and several ways (both
+   TLB presets), a line -> way index that makes the way probe one load
+   instead of an O(assoc) scan.  Lines beyond the footprint, and
+   instances built without one, fall back to a hash table and the scan
+   respectively. *)
 
 type config = { capacity : int; line : int; assoc : int }
 
@@ -45,6 +53,10 @@ type t = {
   seen_lines : int;  (* bitset covers line addresses [0, seen_lines) *)
   seen_bits : Bytes.t;
   seen : (int, unit) Hashtbl.t;  (* lines >= seen_lines *)
+  (* Way index of one-set, multi-way instances: [way_of.(l)] is the way
+     holding line [l], or -1, for [l] in [0, seen_lines).  Empty for
+     every other instance; lines outside it are found by the scan. *)
+  way_of : int array;
 }
 
 let is_pow2 x = x > 0 && x land (x - 1) = 0
@@ -86,6 +98,9 @@ let of_geometry { shape = config; footprint } =
     seen_lines;
     seen_bits = Bytes.make ((seen_lines + 7) / 8) '\000';
     seen = Hashtbl.create 64;
+    way_of =
+      (if nsets = 1 && config.assoc > 1 then Array.make seen_lines (-1)
+       else [||]);
   }
 
 (* Compatibility wrapper over [of_geometry]. *)
@@ -110,22 +125,27 @@ let reset t =
   t.misses <- 0;
   t.cold_misses <- 0;
   Bytes.fill t.seen_bits 0 (Bytes.length t.seen_bits) '\000';
-  Hashtbl.reset t.seen
+  Hashtbl.reset t.seen;
+  Array.fill t.way_of 0 (Array.length t.way_of) (-1)
 
 (* ------------------------------------------------------------------ *)
 (* Shared probe/victim core.  Every access variant — scalar,
    classified, run-compressed — is built from these three, so their
    state transitions cannot drift apart.                               *)
 
-(* Way holding [line_addr] in the set starting at [base], or -1. *)
+(* Way holding [line_addr] in the set starting at [base], or -1: one
+   load of the way index where it covers the line, else a scan. *)
 let[@inline] find_way t base line_addr =
-  let assoc = t.config.assoc in
-  let rec go w =
-    if w = assoc then -1
-    else if Array.unsafe_get t.tags (base + w) = line_addr then w
-    else go (w + 1)
-  in
-  go 0
+  if line_addr < Array.length t.way_of && 0 <= line_addr then
+    Array.unsafe_get t.way_of line_addr
+  else
+    let assoc = t.config.assoc in
+    let rec go w =
+      if w = assoc then -1
+      else if Array.unsafe_get t.tags (base + w) = line_addr then w
+      else go (w + 1)
+    in
+    go 0
 
 (* Test-and-set of the ever-seen set; returns [true] when the line was
    already a member (i.e. the miss is not cold). *)
@@ -156,6 +176,11 @@ let[@inline] fill_victim t base line_addr =
   let evicted = t.tags.(base + !victim) in
   t.tags.(base + !victim) <- line_addr;
   t.stamps.(base + !victim) <- t.clock;
+  let n = Array.length t.way_of in
+  if n > 0 then begin
+    if 0 <= evicted && evicted < n then t.way_of.(evicted) <- -1;
+    if 0 <= line_addr && line_addr < n then t.way_of.(line_addr) <- !victim
+  end;
   evicted
 
 (* ------------------------------------------------------------------ *)

@@ -31,11 +31,14 @@ type t
 type geometry = { shape : config; footprint : int }
 (** Everything [of_geometry] needs to build a cache instance: the
     hardware shape plus workload-derived sizing.  [footprint] (bytes, 0
-    = unknown) bounds the dense address space the workload touches:
-    cold-miss tracking for line addresses below it uses a bitset
-    instead of a hash table, with a hash fallback keeping addresses
-    beyond it correct.  Grew out of [create]'s optional-argument sprawl;
-    new knobs belong here, not as more optional arguments. *)
+    = unknown) bounds the dense address space the workload touches.
+    For line addresses below it, cold-miss tracking uses a bitset
+    instead of a hash table, and an instance with one set and several
+    ways (a fully associative TLB) finds a line's way through a
+    line -> way index (one int per line) instead of scanning every
+    way.  Addresses beyond it keep the hash table and the scan, so
+    they stay correct.  Grew out of [create]'s optional-argument
+    sprawl; new knobs belong here, not as more optional arguments. *)
 
 val geometry : ?footprint:int -> config -> geometry
 (** [geometry ?footprint config] — [footprint] defaults to 0. *)
@@ -49,8 +52,11 @@ val convex_geometry : ?footprint:int -> unit -> geometry
     direct-mapped). *)
 
 val of_geometry : geometry -> t
-(** Build a cache.  Raises [Invalid_argument] for non-power-of-two
-    lines or a capacity not divisible by [line * assoc]. *)
+(** Build a cache, with its cold-miss bitset and, for one-set
+    multi-way shapes, its way index sized from [footprint].  Neither
+    changes any hit, miss or statistic.  Raises [Invalid_argument] for
+    non-power-of-two lines or a capacity not divisible by
+    [line * assoc]. *)
 
 val create : ?footprint:int -> config -> t
 (** Compatibility wrapper: [create ?footprint config] is

@@ -434,12 +434,12 @@ let block_size g lmask left =
    probes it scalar (recording misses), and the iteration that comes
    back all-hit sets the flag — from then on the segment's pages are
    resident and every further access in the page block is a provable
-   hit, so instead of probing (an O(assoc) way scan at TLB
-   associativities of 64+) the caller just counts skipped iterations in
-   [tlb_pending] and settles them with one closed-form [Cache.hit_run]
-   when the page block ends.  Nothing but this segment touches the TLB
-   in between, so the deferred batch reproduces the scalar access
-   sequence exactly. *)
+   hit, so instead of probing (one way-index load per access, plus the
+   call, clock and stamp updates) the caller just counts skipped
+   iterations in [tlb_pending] and settles them with one closed-form
+   [Cache.hit_run] when the page block ends.  Nothing but this segment
+   touches the TLB in between, so the deferred batch reproduces the
+   scalar access sequence exactly. *)
 let scalar_iter ctx g ~tlb_steady ~tlb_pending =
   let k = Array.length g.g_refs in
   let allhit = ref true in

@@ -142,8 +142,9 @@ let stats_equal label a b =
    identical hit patterns (and identical state afterwards, since hits on
    the same lines perturb both equally). *)
 let probe_equal label a b ~lines =
+  let line = (Cache.config a).Cache.line in
   for l = 0 to lines - 1 do
-    let addr = l * 64 in
+    let addr = l * line in
     check bool
       (Printf.sprintf "%s probe line %d" label l)
       (Cache.access a addr) (Cache.access b addr)
@@ -162,12 +163,20 @@ let run_geometries =
     ("4way", { Cache.capacity = 2048; line = 64; assoc = 4 });
     (* 12 sets: non-power-of-two set count exercises the mod indexing *)
     ("np2", { Cache.capacity = 768; line = 64; assoc = 1 });
+    (* one set of 4 KiB lines: a small TLB, found through the way index *)
+    ("1set", { Cache.capacity = 8 * 4096; line = 4096; assoc = 8 });
   ]
+
+(* The run-tier side of the equivalence tests: sized with a footprint
+   that covers only some of the lines the tests touch, so the bitset
+   and way index meet lines on both sides of their range while the
+   scalar side keeps the hash table and the scan. *)
+let with_footprint cfg = Cache.create ~footprint:(4 * cfg.Cache.capacity) cfg
 
 let test_access_run_equiv () =
   List.iter
     (fun (gname, cfg) ->
-      let batched = Cache.create cfg and scalar = Cache.create cfg in
+      let batched = with_footprint cfg and scalar = Cache.create cfg in
       (* deterministic mix of strides and lengths, positive and negative,
          same-line dwell and line-crossing, plus conflict-heavy strides *)
       let cases =
@@ -210,9 +219,9 @@ let test_access_run_classified_equiv () =
 let test_hit_run_equiv () =
   List.iter
     (fun (gname, cfg) ->
-      let batched = Cache.create cfg and scalar = Cache.create cfg in
+      let batched = with_footprint cfg and scalar = Cache.create cfg in
       (* make three distinct lines resident on both *)
-      let addrs = [| 0; 64; 192 |] in
+      let addrs = Array.map (fun l -> l * cfg.Cache.line) [| 0; 1; 3 |] in
       Array.iter
         (fun a ->
           ignore (Cache.access batched a);
@@ -294,6 +303,139 @@ let test_footprint_overflow_fallback () =
   let s = Cache.stats c in
   check int "bitset cold" 3 s.Cache.s_cold
 
+(* --- fully associative way index vs the scan ----------------------- *)
+
+(* One-set caches built with a footprint find a line's way through the
+   line -> way index; built without one they scan every way.  Both must
+   agree on every hit, miss and counter, across evictions of indexed
+   lines, lines beyond the footprint, both tiers and resets. *)
+
+type fa_op =
+  | Access of int
+  | Run of int * int * int  (* addr, stride, n *)
+  | Hit_run of int array * int  (* addresses made resident, then m rounds *)
+  | Reset
+
+type fa_case = {
+  fa_assoc : int;
+  fa_line : int;
+  fa_footprint : int;  (* bytes; ceil(footprint / line) indexed lines *)
+  fa_span : int;  (* lines touched: [0, fa_span), past the footprint *)
+  fa_ops : fa_op list;
+}
+
+let gen_fa_case =
+  let open QCheck.Gen in
+  let* assoc = int_range 2 16 in
+  let* line = oneofl [ 64; 4096 ] in
+  let* lines = int_range 1 (3 * assoc) in
+  let* slack = int_range 0 (line - 1) in
+  let span = lines + assoc + 2 in
+  let addr =
+    map2
+      (fun l off -> (l * line) + off)
+      (int_range 0 (span - 1))
+      (int_range 0 (line - 1))
+  in
+  let run =
+    let* a = addr in
+    let* stride =
+      oneof
+        [
+          return 0;
+          int_range (-2 * line) (2 * line);
+          map (fun k -> k * line) (int_range (-3) 3);
+        ]
+    in
+    let* n = int_range 0 40 in
+    (* no address below 0: the simulator's address spaces start there *)
+    let n = if stride < 0 then min n ((a / -stride) + 1) else n in
+    return (Run (a, stride, n))
+  in
+  let hit_run =
+    let* k = int_range 1 assoc in
+    let* addrs = array_repeat k addr in
+    let* m = int_range 0 5 in
+    return (Hit_run (addrs, m))
+  in
+  let op =
+    frequency
+      [
+        (5, map (fun a -> Access a) addr);
+        (3, run);
+        (2, hit_run);
+        (1, return Reset);
+      ]
+  in
+  let* ops = list_size (int_range 1 60) op in
+  return
+    {
+      fa_assoc = assoc;
+      fa_line = line;
+      fa_footprint = (lines * line) - slack;
+      fa_span = span;
+      fa_ops = ops;
+    }
+
+let print_fa_case c =
+  let op = function
+    | Access a -> Printf.sprintf "access %d" a
+    | Run (a, s, n) -> Printf.sprintf "run %d/%d/%d" a s n
+    | Hit_run (addrs, m) ->
+      Printf.sprintf "hit_run [%s] x%d"
+        (String.concat ";" (Array.to_list (Array.map string_of_int addrs)))
+        m
+    | Reset -> "reset"
+  in
+  Printf.sprintf "assoc %d line %d footprint %d: %s" c.fa_assoc c.fa_line
+    c.fa_footprint
+    (String.concat ", " (List.map op c.fa_ops))
+
+let prop_way_index_equals_scan =
+  QCheck.Test.make ~count:500
+    ~name:"indexed fully associative lookups equal the scan"
+    (QCheck.make ~print:print_fa_case gen_fa_case)
+    (fun c ->
+      let cfg =
+        {
+          Cache.capacity = c.fa_assoc * c.fa_line;
+          line = c.fa_line;
+          assoc = c.fa_assoc;
+        }
+      in
+      let indexed = Cache.create ~footprint:c.fa_footprint cfg in
+      let scan = Cache.create cfg in
+      let access i a =
+        let hi = Cache.access indexed a in
+        let hs = Cache.access scan a in
+        if hi <> hs then
+          QCheck.Test.fail_reportf "op %d: access %d hit=%b indexed, %b scanning"
+            i a hi hs
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Access a -> access i a
+          | Run (addr, stride, n) ->
+            Cache.access_run indexed ~addr ~stride ~n;
+            Cache.access_run scan ~addr ~stride ~n
+          | Hit_run (addrs, m) ->
+            Array.iter (access i) addrs;
+            let k = Array.length addrs in
+            Cache.hit_run indexed ~addrs ~k ~m;
+            Cache.hit_run scan ~addrs ~k ~m
+          | Reset ->
+            Cache.reset indexed;
+            Cache.reset scan);
+          if Cache.stats indexed <> Cache.stats scan then
+            QCheck.Test.fail_reportf "op %d: statistics differ" i)
+        c.fa_ops;
+      (* the final residency agrees line by line *)
+      for l = 0 to c.fa_span - 1 do
+        access (List.length c.fa_ops) (l * c.fa_line)
+      done;
+      true)
+
 let suite =
   [
     ("create invalid", `Quick, test_create_invalid);
@@ -316,4 +458,5 @@ let suite =
     ("repeat_run direct-mapped guard", `Quick, test_repeat_run_assoc_guard);
     ("footprint bitset equivalence", `Quick, test_footprint_bitset_equiv);
     ("footprint overflow fallback", `Quick, test_footprint_overflow_fallback);
+    Tutil.to_alcotest prop_way_index_equals_scan;
   ]

@@ -145,9 +145,10 @@ let prop_parallel_identical ~machine name =
 
 (* Cache geometries the batched engine specialises on: the two machine
    presets, a non-power-of-two set count (3072 sets forces the modulo
-   set-index path), and small conflict-prone caches at associativities
+   set-index path), small conflict-prone caches at associativities
    1/2/4 (small capacity makes the steady-state and scalar-fallback
-   paths fire, not just the all-hit fast-forward). *)
+   paths fire, not just the all-hit fast-forward), and a 4-entry TLB
+   that evicts pages, and so rewrites its way index, in both tiers. *)
 let geometries =
   let with_cache base name cache =
     { base with Machine.mname = name; cache }
@@ -167,6 +168,12 @@ let geometries =
     ( "small-4w",
       with_cache Machine.ksr2 "small-4w"
         { Cache.capacity = 16 * 1024; line = 64; assoc = 4 } );
+    ( "small-tlb",
+      {
+        Machine.ksr2 with
+        Machine.mname = "small-tlb";
+        tlb = Some { Cache.capacity = 4 * 4096; line = 4096; assoc = 4 };
+      } );
   |]
 
 let arb_run_case =

@@ -111,6 +111,31 @@ let test_cache_run_throughput =
     (Staged.stage (fun () ->
          Lf_cache.Cache.access_run c ~addr:0 ~stride:8 ~n:100_000))
 
+(* The layers a warm served hit pays for: naming a request (its
+   canonical text, program included) and decoding a client frame, whose
+   strict parse re-renders the request to check the round trip.  The
+   request is the serve-mixed benchmark's miss: fused LL18 on the
+   Convex, partitioned layout, 4 processors. *)
+let hit_request =
+  let p = Lf_kernels.Ll18.program ~n:40 () in
+  let m = Machine.convex in
+  Lf_machine.Sim.fused
+    ~layout:(Lf_queue.Sweep.partitioned_layout m p)
+    ~mode:Lf_machine.Sim.Run_compressed ~machine:m ~nprocs:4
+    ~strip:(Lf_queue.Sweep.strip_for m p) p
+
+let test_canonical_render =
+  Test.make ~name:"substrate/canonical-render"
+    (Staged.stage (fun () -> Lf_machine.Sim.canonical hit_request))
+
+let test_hit_decode =
+  let payload =
+    Lf_serve.Wire.client_msg_to_payload
+      (Lf_serve.Wire.Request { rid = 1; req = hit_request })
+  in
+  Test.make ~name:"wire/hit-decode"
+    (Staged.stage (fun () -> Lf_serve.Wire.client_msg_of_payload payload))
+
 (* Native LL18 through Lf_native, unfused and fused, on each pool.
    Pools, schedules and buffers are built outside the timed closure;
    each run resets the buffers first, so every run computes from the
@@ -147,6 +172,8 @@ let all_tests pools =
        test_cache_throughput;
        test_tlb_throughput;
        test_cache_run_throughput;
+       test_canonical_render;
+       test_hit_decode;
        test_tune_exact_cold;
        test_tune_exact_memo;
      ]

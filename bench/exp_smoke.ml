@@ -24,8 +24,9 @@ let time f =
   (r, t ())
 
 (* One workload: run scalar and run-compressed, check bit-identity,
-   report the wall-clock ratio.  Returns false on mismatch. *)
-let check ~label ~machine ~layout ~strip ~nprocs p =
+   report the wall-clock ratio (unless timings are off).  Returns false
+   on mismatch. *)
+let check (cfg : Util.cfg) ~label ~machine ~layout ~strip ~nprocs p =
   (* both engine tiers go through Batch.run_with; on a warm store the
      whole tier is answered from persisted results and the identity
      check exercises the store's bit-exact round trip instead *)
@@ -43,10 +44,13 @@ let check ~label ~machine ~layout ~strip ~nprocs p =
   let (su, sf), t_scalar = time (go Lf_machine.Sim.Miss_only) in
   let (ru, rf), t_runs = time (go Lf_machine.Sim.Run_compressed) in
   let ok = counters_equal su ru && counters_equal sf rf in
-  Util.pr "%-12s  scalar %6.2fs  run-compressed %6.2fs  (%4.1fx)  %s@." label
-    t_scalar t_runs
-    (t_scalar /. Float.max 1e-9 t_runs)
-    (if ok then "identical" else "MISMATCH");
+  let verdict = if ok then "identical" else "MISMATCH" in
+  if cfg.Util.timings then
+    Util.pr "%-12s  scalar %6.2fs  run-compressed %6.2fs  (%4.1fx)  %s@." label
+      t_scalar t_runs
+      (t_scalar /. Float.max 1e-9 t_runs)
+      verdict
+  else Util.pr "%-12s  %s@." label verdict;
   Util.note ~id:"smoke"
     [
       ("workload", Util.Str label);
@@ -57,13 +61,13 @@ let check ~label ~machine ~layout ~strip ~nprocs p =
   ok
 
 let run (cfg : Util.cfg) =
-  ignore cfg;
   Util.header "Engine smoke: scalar vs run-compressed identity (scaled down)";
   let ok = ref true in
   let with_workload label machine p =
     let layout = Util.partitioned_layout machine p in
     let strip = Util.strip_for machine p in
-    if not (check ~label ~machine ~layout ~strip ~nprocs:4 p) then ok := false
+    if not (check cfg ~label ~machine ~layout ~strip ~nprocs:4 p) then
+      ok := false
   in
   (* f18: padding sweep geometry (padded layout, Convex) *)
   let p18 = Lf_kernels.Ll18.program ~n:192 () in
@@ -73,7 +77,7 @@ let run (cfg : Util.cfg) =
       let layout = Util.padded_layout ~pad p18 in
       if
         not
-          (check
+          (check cfg
              ~label:(Printf.sprintf "f18 pad:%d" pad)
              ~machine:Machine.convex ~layout ~strip:strip18 ~nprocs:4 p18)
       then ok := false)

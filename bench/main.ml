@@ -112,7 +112,7 @@ let () =
       exit 1
   in
   parse (List.tl args);
-  let cfg = { Util.quick = !quick; procs_cap = !procs_cap } in
+  let cfg = { Util.quick = !quick; procs_cap = !procs_cap; timings = !timings } in
   let selected =
     match !only with
     | None -> experiments

@@ -9,7 +9,9 @@ module Batch = Lf_batch.Batch
 module Run_opts = Lf_batch.Run_opts
 module Cache = Lf_cache.Cache
 
-type cfg = { quick : bool; procs_cap : int option }
+(* [timings = false] (--no-timings) keeps wall-clock figures out of the
+   printed output, so two runs of one experiment can be diffed. *)
+type cfg = { quick : bool; procs_cap : int option; timings : bool }
 
 (* ------------------------------------------------------------------ *)
 (* Result-store policy of every batch-routed experiment (bench --cold /

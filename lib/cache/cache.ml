@@ -134,18 +134,20 @@ let reset t =
    state transitions cannot drift apart.                               *)
 
 (* Way holding [line_addr] in the set starting at [base], or -1: one
-   load of the way index where it covers the line, else a scan. *)
+   load of the way index where it covers the line, else a scan.  The
+   scan is a loop, not a local recursive function, so a probe allocates
+   no closure. *)
 let[@inline] find_way t base line_addr =
   if line_addr < Array.length t.way_of && 0 <= line_addr then
     Array.unsafe_get t.way_of line_addr
-  else
+  else begin
     let assoc = t.config.assoc in
-    let rec go w =
-      if w = assoc then -1
-      else if Array.unsafe_get t.tags (base + w) = line_addr then w
-      else go (w + 1)
-    in
-    go 0
+    let w = ref 0 in
+    while !w < assoc && Array.unsafe_get t.tags (base + !w) <> line_addr do
+      incr w
+    done;
+    if !w = assoc then -1 else !w
+  end
 
 (* Test-and-set of the ever-seen set; returns [true] when the line was
    already a member (i.e. the miss is not cold). *)

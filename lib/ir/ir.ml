@@ -218,81 +218,189 @@ let validate p =
   List.iter (validate_nest p) p.nests
 
 (* ------------------------------------------------------------------ *)
-(* Pretty-printing (C-like)                                            *)
+(* Canonical printer (C-like)
 
-let pp_affine ppf a =
-  let pp_term first ppf (c, x) =
-    if c = 1 then Fmt.pf ppf (if first then "%s" else "+%s") x
-    else if c = -1 then Fmt.pf ppf "-%s" x
-    else if c >= 0 && not first then Fmt.pf ppf "+%d*%s" c x
-    else Fmt.pf ppf "%d*%s" c x
-  in
-  match a.terms with
-  | [] -> Fmt.int ppf a.const
-  | t :: ts ->
-    pp_term true ppf t;
-    List.iter (pp_term false ppf) ts;
-    if a.const > 0 then Fmt.pf ppf "+%d" a.const
-    else if a.const < 0 then Fmt.pf ppf "%d" a.const
+   One printer appends every construct to a [Buffer.t];
+   [program_to_string] and the [pp_*] functions wrap it.  Its bytes are
+   the canonical program text: Sim.canonical embeds it in every request
+   name and the front end parses it back, so any change to them must
+   bump [version] below.  Lists are walked by top-level recursive
+   functions, not closures, so a render allocates little beyond the
+   buffer. *)
 
-let pp_aref ppf r =
-  Fmt.pf ppf "%s%a" r.array
-    (Fmt.list ~sep:Fmt.nop (fun ppf a -> Fmt.pf ppf "[%a]" pp_affine a))
-    r.index
+(* [string_of_int]'s digits, appended without formatting a string. *)
+let rec add_digits b k =
+  if k >= 10 then add_digits b (k / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (k mod 10)))
 
-let binop_str = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
+let add_int b k =
+  if k >= 0 then add_digits b k
+  else if k = min_int then Buffer.add_string b (string_of_int k)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-k)
+  end
+
+(* [c*x] terms: a unit coefficient prints as the bare variable, and
+   every non-negative coefficient after the first carries a [+]. *)
+let rec add_terms b first = function
+  | [] -> ()
+  | (c, x) :: rest ->
+    if c = 1 then begin
+      if not first then Buffer.add_char b '+';
+      Buffer.add_string b x
+    end
+    else if c = -1 then begin
+      Buffer.add_char b '-';
+      Buffer.add_string b x
+    end
+    else begin
+      if c >= 0 && not first then Buffer.add_char b '+';
+      add_int b c;
+      Buffer.add_char b '*';
+      Buffer.add_string b x
+    end;
+    add_terms b false rest
+
+let add_affine b a =
+  if a.terms = [] then add_int b a.const
+  else begin
+    add_terms b true a.terms;
+    if a.const > 0 then Buffer.add_char b '+';
+    if a.const <> 0 then add_int b a.const
+  end
+
+let rec add_subscripts b = function
+  | [] -> ()
+  | a :: rest ->
+    Buffer.add_char b '[';
+    add_affine b a;
+    Buffer.add_char b ']';
+    add_subscripts b rest
+
+let add_aref b r =
+  Buffer.add_string b r.array;
+  add_subscripts b r.index
+
+let binop_char = function Add -> '+' | Sub -> '-' | Mul -> '*' | Div -> '/'
 
 let prec = function Add | Sub -> 1 | Mul | Div -> 2
 
-let rec pp_expr_prec p ppf = function
-  | Const k -> Fmt.pf ppf "%g" k
-  | Read r -> pp_aref ppf r
-  | Neg e -> Fmt.pf ppf "-%a" (pp_expr_prec 3) e
-  | Bin (op, a, b) ->
+(* [p] is the loosest operator precedence the context accepts without
+   parentheses: 0 at the top, 3 under a negation. *)
+let rec add_expr b p = function
+  | Const k -> Buffer.add_string b (Printf.sprintf "%g" k)
+  | Read r -> add_aref b r
+  | Neg e ->
+    Buffer.add_char b '-';
+    add_expr b 3 e
+  | Bin (op, l, r) ->
     let q = prec op in
-    let body ppf () =
-      Fmt.pf ppf "%a %s %a" (pp_expr_prec q) a (binop_str op)
-        (pp_expr_prec (q + 1)) b
-    in
-    if q < p then Fmt.pf ppf "(%a)" body () else body ppf ()
+    if q < p then Buffer.add_char b '(';
+    add_expr b q l;
+    Buffer.add_char b ' ';
+    Buffer.add_char b (binop_char op);
+    Buffer.add_char b ' ';
+    add_expr b (q + 1) r;
+    if q < p then Buffer.add_char b ')'
 
-let pp_expr = pp_expr_prec 0
+let rec add_guard b first = function
+  | [] -> ()
+  | (v, lo, hi) :: rest ->
+    if not first then Buffer.add_string b " && ";
+    add_int b lo;
+    Buffer.add_string b " <= ";
+    Buffer.add_string b v;
+    Buffer.add_string b " && ";
+    Buffer.add_string b v;
+    Buffer.add_string b " <= ";
+    add_int b hi;
+    add_guard b false rest
 
-let pp_guard ppf g =
-  let pp_one ppf (v, lo, hi) = Fmt.pf ppf "%d <= %s && %s <= %d" lo v v hi in
-  Fmt.pf ppf "if (%a) " (Fmt.list ~sep:(Fmt.any " && ") pp_one) g
+let add_stmt b s =
+  if s.guard <> [] then begin
+    Buffer.add_string b "if (";
+    add_guard b true s.guard;
+    Buffer.add_string b ") "
+  end;
+  add_aref b s.lhs;
+  Buffer.add_string b " = ";
+  add_expr b 0 s.rhs;
+  Buffer.add_char b ';'
 
-let pp_stmt ppf s =
-  (match s.guard with [] -> () | g -> pp_guard ppf g);
-  Fmt.pf ppf "%a = %a;" pp_aref s.lhs pp_expr s.rhs
+let add_indent b depth =
+  for _ = 1 to depth do
+    Buffer.add_string b "  "
+  done
 
-let pp_nest ppf n =
-  let rec go indent = function
-    | [] ->
-      List.iter (fun s -> Fmt.pf ppf "%s%a@." indent pp_stmt s) n.body
-    | l :: rest ->
-      Fmt.pf ppf "%s%s (%s = %d; %s <= %d; %s++) {@." indent
-        (if l.parallel then "doall" else "for")
-        l.lvar l.lo l.lvar l.hi l.lvar;
-      go (indent ^ "  ") rest;
-      Fmt.pf ppf "%s}@." indent
-  in
-  Fmt.pf ppf "/* nest %s */@." n.nid;
-  go "" n.levels
+let rec add_body b depth = function
+  | [] -> ()
+  | s :: rest ->
+    add_indent b depth;
+    add_stmt b s;
+    Buffer.add_char b '\n';
+    add_body b depth rest
 
-let pp_program ppf p =
-  Fmt.pf ppf "/* program %s */@." p.pname;
+(* The loop headers from [depth] inwards, then the body, then the
+   closing braces. *)
+let rec add_levels b body depth = function
+  | [] -> add_body b depth body
+  | l :: rest ->
+    add_indent b depth;
+    Buffer.add_string b (if l.parallel then "doall (" else "for (");
+    Buffer.add_string b l.lvar;
+    Buffer.add_string b " = ";
+    add_int b l.lo;
+    Buffer.add_string b "; ";
+    Buffer.add_string b l.lvar;
+    Buffer.add_string b " <= ";
+    add_int b l.hi;
+    Buffer.add_string b "; ";
+    Buffer.add_string b l.lvar;
+    Buffer.add_string b "++) {\n";
+    add_levels b body (depth + 1) rest;
+    add_indent b depth;
+    Buffer.add_string b "}\n"
+
+let add_nest b n =
+  Buffer.add_string b "/* nest ";
+  Buffer.add_string b n.nid;
+  Buffer.add_string b " */\n";
+  add_levels b n.body 0 n.levels
+
+let add_decl b d =
+  Buffer.add_string b "double ";
+  Buffer.add_string b d.aname;
   List.iter
-    (fun d ->
-      Fmt.pf ppf "double %s%a;@." d.aname
-        (Fmt.list ~sep:Fmt.nop (fun ppf e -> Fmt.pf ppf "[%d]" e))
-        d.extents)
-    p.decls;
-  Fmt.pf ppf "@.";
-  List.iter (fun n -> pp_nest ppf n) p.nests
+    (fun e ->
+      Buffer.add_char b '[';
+      add_int b e;
+      Buffer.add_char b ']')
+    d.extents;
+  Buffer.add_string b ";\n"
 
-let program_to_string p = Fmt.str "%a" pp_program p
-let nest_to_string n = Fmt.str "%a" pp_nest n
+let add_program b p =
+  Buffer.add_string b "/* program ";
+  Buffer.add_string b p.pname;
+  Buffer.add_string b " */\n";
+  List.iter (add_decl b) p.decls;
+  Buffer.add_char b '\n';
+  List.iter (add_nest b) p.nests
+
+(* 1024 bytes hold a small kernel's text and stay in the minor heap. *)
+let to_string add x =
+  let b = Buffer.create 1024 in
+  add b x;
+  Buffer.contents b
+
+let program_to_string = to_string add_program
+
+let pp add ppf x = Format.pp_print_string ppf (to_string add x)
+let pp_affine = pp add_affine
+let pp_aref = pp add_aref
+let pp_expr = pp (fun b e -> add_expr b 0 e)
+let pp_stmt = pp add_stmt
+let pp_program = pp add_program
 
 (* Observable-behaviour fingerprint of this module: the program
    semantics and the canonical printer above.  Bump on any change that

@@ -120,10 +120,11 @@ val pp_affine : Format.formatter -> affine -> unit
 val pp_aref : Format.formatter -> aref -> unit
 val pp_expr : Format.formatter -> expr -> unit
 val pp_stmt : Format.formatter -> stmt -> unit
-val pp_nest : Format.formatter -> nest -> unit
 val pp_program : Format.formatter -> program -> unit
 val program_to_string : program -> string
-val nest_to_string : nest -> string
+(** The canonical program text, which {!Lf_front.Parse.program} reads
+    back.  The [pp_*] printers above write the same bytes; any change
+    to them is a change of {!version}. *)
 
 val version : string
 (** Fingerprint of this module's observable behaviour (program

@@ -345,15 +345,19 @@ let compile_nest layout decls (n : Ir.nest) =
          })
        n.body)
 
+(* A loop rather than a local recursive function: checking a guard
+   allocates nothing. *)
 let guard_holds g (vals : int array) =
-  let n = Array.length g in
-  let rec go i =
-    if i = n then true
-    else
-      let v, lo, hi = g.(i) in
-      vals.(v) >= lo && vals.(v) <= hi && go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while
+    !i < Array.length g
+    &&
+    let v, lo, hi = g.(!i) in
+    vals.(v) >= lo && vals.(v) <= hi
+  do
+    incr i
+  done;
+  !i = Array.length g
 
 (* Miss_only: replay the statement's address stream against the cache.
    Addresses are layout-dependent but value-independent, so the stream

@@ -397,6 +397,38 @@ let test_parallel_exception_propagates () =
   Alcotest.(check bool) "engine usable after worker exception" true
     (results_identical serial par)
 
+(* Neither tier allocates per simulated access: a cache probe, a TLB
+   probe and a statement guard cost no heap words, so a serial run's
+   minor allocation divided by its references stays far below one word
+   (set-up, the schedule and the result are all that remain: 0.05-0.3
+   words here).  The bound is half a word because one closure per
+   statement instance, about 0.7 words per reference on ll18, must
+   fail it too.  The first run warms the engine's lazily built state. *)
+let test_allocation_per_ref () =
+  let p = Lf_kernels.Ll18.program ~n:64 () in
+  List.iter
+    (fun (mname, machine) ->
+      List.iter
+        (fun (tname, mode) ->
+          List.iter
+            (fun fused ->
+              let req =
+                if fused then Sim.fused ~mode ~machine ~nprocs:4 p
+                else Sim.unfused ~mode ~machine ~nprocs:4 p
+              in
+              let run () = Exec.run_opts (Exec.opts ~jobs:1 ()) req in
+              ignore (run ());
+              let w0 = Gc.minor_words () in
+              let r = run () in
+              let words = Gc.minor_words () -. w0 in
+              let per_ref = words /. float_of_int r.Exec.total_refs in
+              if per_ref >= 0.5 then
+                Alcotest.failf "%s %s fused=%b: %.2f words per reference"
+                  mname tname fused per_ref)
+            [ false; true ])
+        [ ("miss-only", Exec.Miss_only); ("runs", Exec.Run_compressed) ])
+    [ ("ksr2", Machine.ksr2); ("convex", Machine.convex) ]
+
 let test_jobs_env_default () =
   (* set_default_jobs overrides; restore to the env-derived default *)
   let d0 = Exec.default_jobs () in
@@ -418,4 +450,6 @@ let suite =
     Alcotest.test_case "worker exception propagates" `Quick
       test_parallel_exception_propagates;
     Alcotest.test_case "default jobs override" `Quick test_jobs_env_default;
+    Alcotest.test_case "engine tiers allocate less than one word per reference"
+      `Quick test_allocation_per_ref;
   ]

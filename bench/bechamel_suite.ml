@@ -128,6 +128,13 @@ let test_canonical_render =
   Test.make ~name:"substrate/canonical-render"
     (Staged.stage (fun () -> Lf_machine.Sim.canonical hit_request))
 
+(* The engine alone on the same request, which `serve-mixed` computes on
+   every guaranteed miss: serial runs back to back on one domain, so
+   each recycles the caches and TLBs of the run before. *)
+let test_served_miss_sim =
+  Test.make ~name:"substrate/served-miss-sim"
+    (Staged.stage (fun () -> Exec.run_opts (Exec.opts ~jobs:1 ()) hit_request))
+
 let test_hit_decode =
   let payload =
     Lf_serve.Wire.client_msg_to_payload
@@ -173,6 +180,7 @@ let all_tests pools =
        test_tlb_throughput;
        test_cache_run_throughput;
        test_canonical_render;
+       test_served_miss_sim;
        test_hit_decode;
        test_tune_exact_cold;
        test_tune_exact_memo;

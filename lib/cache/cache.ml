@@ -16,6 +16,10 @@
      the values the scalar loop would produce (see exec.ml / DESIGN
      §6b for the argument).
 
+   Only instances with several ways per set keep LRU stamps: a
+   direct-mapped set's one way is always its victim, so a stamp there
+   would be written and never read.
+
    The workload footprint sizes two dense per-line structures over the
    line addresses [0, seen_lines): the cold-miss bitset of every
    instance, and, for instances with one set and several ways (both
@@ -40,7 +44,9 @@ type t = {
   line_shift : int;  (* log2 line: addr lsr line_shift = line address *)
   set_mask : int;  (* nsets - 1 when nsets is a power of 2, else -1 *)
   tags : int array;  (* nsets * assoc, -1 = invalid *)
-  stamps : int array;  (* LRU stamps, parallel to tags *)
+  stamps : int array;
+      (* LRU stamps, parallel to tags; empty when direct-mapped, where
+         the only way of a set is always the victim *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -90,7 +96,8 @@ let of_geometry { shape = config; footprint } =
     line_shift = log2 config.line;
     set_mask = (if is_pow2 nsets then nsets - 1 else -1);
     tags = Array.make (nsets * config.assoc) (-1);
-    stamps = Array.make (nsets * config.assoc) 0;
+    stamps =
+      (if config.assoc = 1 then [||] else Array.make (nsets * config.assoc) 0);
     clock = 0;
     hits = 0;
     misses = 0;
@@ -168,6 +175,10 @@ let[@inline] seen_mark t line_addr =
     false
   end
 
+(* Record the recency of way [i] as [v]; a no-op on a direct-mapped
+   instance, which keeps no stamps. *)
+let[@inline] stamp t i v = if t.config.assoc > 1 then t.stamps.(i) <- v
+
 (* LRU victim selection and fill; returns the displaced line address
    (-1 if the way was invalid).  Counter updates stay in the caller. *)
 let[@inline] fill_victim t base line_addr =
@@ -177,7 +188,7 @@ let[@inline] fill_victim t base line_addr =
   done;
   let evicted = t.tags.(base + !victim) in
   t.tags.(base + !victim) <- line_addr;
-  t.stamps.(base + !victim) <- t.clock;
+  stamp t (base + !victim) t.clock;
   let n = Array.length t.way_of in
   if n > 0 then begin
     if 0 <= evicted && evicted < n then t.way_of.(evicted) <- -1;
@@ -202,7 +213,7 @@ let access t addr =
     false
   | w ->
     t.hits <- t.hits + 1;
-    t.stamps.(base + w) <- t.clock;
+    stamp t (base + w) t.clock;
     true
 
 type classified = {
@@ -230,7 +241,7 @@ let access_classified t addr =
     { cl_hit = false; cl_cold = cold; cl_line = line_addr; cl_evicted = evicted }
   | w ->
     t.hits <- t.hits + 1;
-    t.stamps.(base + w) <- t.clock;
+    stamp t (base + w) t.clock;
     { cl_hit = true; cl_cold = false; cl_line = line_addr; cl_evicted = -1 }
 
 (* ------------------------------------------------------------------ *)
@@ -259,7 +270,7 @@ let[@inline] coalesce_hits t base w c =
   if c > 0 then begin
     t.clock <- t.clock + c;
     t.hits <- t.hits + c;
-    t.stamps.(base + w) <- t.clock
+    stamp t (base + w) t.clock
   end
 
 (* [access_run t ~addr ~stride ~n] touches the [n] byte addresses
@@ -278,16 +289,12 @@ let access_run t ~addr ~stride ~n =
       let line_addr = a lsr t.line_shift in
       let set = set_of t line_addr in
       t.clock <- t.clock + 1;
-      if Array.unsafe_get t.tags set = line_addr then begin
-        t.hits <- t.hits + 1;
-        t.stamps.(set) <- t.clock
-      end
+      if Array.unsafe_get t.tags set = line_addr then t.hits <- t.hits + 1
       else begin
         t.misses <- t.misses + 1;
         if not (seen_mark t line_addr) then
           t.cold_misses <- t.cold_misses + 1;
-        t.tags.(set) <- line_addr;
-        t.stamps.(set) <- t.clock
+        t.tags.(set) <- line_addr
       end;
       coalesce_hits t set 0 (c - 1);
       addr := a + (stride * c);
@@ -359,7 +366,7 @@ let hit_run t ~addrs ~k ~m =
       let base = set * t.config.assoc in
       let w = find_way t base line_addr in
       if w < 0 then invalid_arg "Cache.hit_run: line not resident";
-      t.stamps.(base + w) <- last_iter + j + 1
+      stamp t (base + w) (last_iter + j + 1)
     done
   end
 
@@ -373,8 +380,8 @@ let hit_run t ~addrs ~k ~m =
    onward (DESIGN §6b).  The scalar loop would leave the tags in the
    same periodic state, add the same hit/miss counts per iteration
    (all misses non-cold: every line was referenced when the block was
-   primed), and stamp each touched set at the clock of its last
-   access; reproduced here exactly. *)
+   primed), and advance the clock by [k*m]; reproduced here
+   exactly. *)
 let repeat_run t ~addrs ~hits ~k ~m =
   if t.config.assoc <> 1 then invalid_arg "Cache.repeat_run: not direct-mapped";
   if m > 0 && k > 0 then begin
@@ -385,12 +392,9 @@ let repeat_run t ~addrs ~hits ~k ~m =
     t.hits <- t.hits + (!h * m);
     t.misses <- t.misses + ((k - !h) * m);
     t.clock <- t.clock + (k * m);
-    let last_iter = t.clock - k in
     for j = 0 to k - 1 do
       let line_addr = addrs.(j) lsr t.line_shift in
-      let set = set_of t line_addr in
-      t.tags.(set) <- line_addr;
-      t.stamps.(set) <- last_iter + j + 1
+      t.tags.(set_of t line_addr) <- line_addr
     done
   end
 

@@ -10,7 +10,12 @@
     and the run tier ([access_run], [hit_run], [repeat_run]) consumes
     whole strided segments, updating counters, the LRU clock and the
     stamps in closed form to exactly the values the scalar loop would
-    produce (DESIGN §6b). *)
+    produce (DESIGN §6b).
+
+    Only shapes with several ways per set keep LRU stamps.  A
+    direct-mapped instance (the Convex preset) holds its tags alone:
+    the one way of a set is always the victim, so a stamp would never
+    be read. *)
 
 type config = { capacity : int; line : int; assoc : int }
 (** Capacity and line size in bytes; [assoc = 1] is direct-mapped. *)
@@ -65,7 +70,12 @@ val create : ?footprint:int -> config -> t
 val config : t -> config
 
 val reset : t -> unit
-(** Invalidate all lines and zero the statistics. *)
+(** Invalidate all lines, forget every line ever seen and zero the
+    clock and the statistics: the instance becomes indistinguishable
+    from a fresh [of_geometry] of its geometry.  The engine recycles
+    instances through it, so a simulation allocates no cache state
+    when the one before it on its domain had the same geometry
+    ({!Lf_machine.Exec.run_opts}). *)
 
 val access : t -> int -> bool
 (** [access t addr] touches the byte at [addr]; returns [true] on a

@@ -127,6 +127,31 @@ let shared_pool_of ~jobs =
     p
 
 (* ------------------------------------------------------------------ *)
+(* Recycled cache instances                                            *)
+
+(* The cache and TLB instances of this domain's last run, with their
+   geometries.  A Convex cache is a 16 384-word tag array, allocated
+   straight into the major heap, so building fresh instances for every
+   run costs about one major collection per run.  A run takes the whole
+   list with one [Atomic.exchange], so two systhreads of one domain
+   never hold the same instance; it stores its own instances back only
+   once it has read its result out of them, and a run that raises
+   drops them.  At most one run's instances are kept per domain. *)
+let spare_caches : (Cache.geometry * Cache.t) list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [])
+
+(* An instance of geometry [g]: the first one of [!spare] with exactly
+   that geometry, removed from it and reset to the state of a fresh
+   one, else a fresh one. *)
+let recycle spare g =
+  match List.assoc_opt g !spare with
+  | Some c ->
+    spare := List.remove_assoc g !spare;
+    Cache.reset c;
+    c
+  | None -> Cache.of_geometry g
+
+(* ------------------------------------------------------------------ *)
 (* Per-processor execution context                                     *)
 
 type ctx = {
@@ -788,14 +813,20 @@ let run_opts o (req : Sim.request) =
   (* the simulated address space is dense in [0, layout.total_bytes):
      size the caches' cold-tracking bitsets to it *)
   let footprint = layout.Partition.total_bytes in
+  let spare_cell = Domain.DLS.get spare_caches in
+  let spare = ref (Atomic.exchange spare_cell []) in
+  let used = ref [] in
+  let instance shape =
+    let g = Cache.geometry ~footprint shape in
+    let c = recycle spare g in
+    used := (g, c) :: !used;
+    c
+  in
   let ctxs =
     Array.init nprocs (fun proc ->
         {
-          cache = Cache.of_geometry (Cache.geometry ~footprint m.cache);
-          tlb =
-            Option.map
-              (fun shape -> Cache.of_geometry (Cache.geometry ~footprint shape))
-              m.Machine.tlb;
+          cache = instance m.cache;
+          tlb = Option.map instance m.Machine.tlb;
           boxes = 0;
           iters = 0;
           ops = 0;
@@ -908,6 +939,9 @@ let run_opts o (req : Sim.request) =
           | Some t -> (Cache.stats t).Cache.s_misses))
       0 ctxs
   in
+  (* the result is read out: nothing touches this run's caches after
+     another run on this domain can take them *)
+  Atomic.set spare_cell !used;
   {
     cycles;
     phase_cycles;

@@ -105,7 +105,10 @@ val run_opts : opts -> Sim.request -> result
     The schedule runs with one cache per processor on the request's
     layout; [steps] repeats the whole schedule (a sequential time-step
     loop around the parallel loop sequence, with caches persisting
-    across steps).
+    across steps).  The caches and TLBs are those of the last run on
+    the calling domain where their geometry (shape and footprint)
+    matches, {!Lf_cache.Cache.reset} first, so no observable depends
+    on what ran before; a domain keeps one run's instances at most.
 
     [o_jobs] (default {!default_jobs}) is the number of host domains
     the simulated processors are mapped onto, clamped to the processor

@@ -176,26 +176,25 @@ let geometries =
       } );
   |]
 
-let arb_run_case =
+let gen_run_case =
   let open Gen in
-  let gen =
-    let* c = gen_case in
-    let* geom = int_range 0 (Array.length geometries - 1) in
-    let* jobs = oneofl [ 1; 4 ] in
-    return ({ c with jobs }, geom)
-  in
-  make
-    ~print:(fun (c, geom) ->
-      Printf.sprintf "%s geom=%s n=%d nprocs=%d strip=%d fused=%b %s jobs=%d"
-        (fst kernels.(c.kernel))
-        (fst geometries.(geom))
-        c.n c.nprocs c.strip c.fuse
-        (match c.pick with
-        | L_contiguous -> "contiguous"
-        | L_padded p -> Printf.sprintf "pad:%d" p
-        | L_partitioned -> "partitioned")
-        c.jobs)
-    gen
+  let* c = gen_case in
+  let* geom = int_range 0 (Array.length geometries - 1) in
+  let* jobs = oneofl [ 1; 4 ] in
+  return ({ c with jobs }, geom)
+
+let print_run_case (c, geom) =
+  Printf.sprintf "%s geom=%s n=%d nprocs=%d strip=%d fused=%b %s jobs=%d"
+    (fst kernels.(c.kernel))
+    (fst geometries.(geom))
+    c.n c.nprocs c.strip c.fuse
+    (match c.pick with
+    | L_contiguous -> "contiguous"
+    | L_padded p -> Printf.sprintf "pad:%d" p
+    | L_partitioned -> "partitioned")
+    c.jobs
+
+let arb_run_case = make ~print:print_run_case gen_run_case
 
 (* Every observable of the run-compressed engine — counters, cycles,
    the attached sink's totals and event stream — must be bit-identical
@@ -237,32 +236,36 @@ let prop_run_compressed_identical =
         then Test.fail_report "run-compressed breakdown differs";
         true)
 
+(* [b(i) = a(i + shift)] over [0, n) with n = 24: out of bounds at
+   i = n - shift for a positive shift. *)
+let oob_n = 24
+
+let shifted_copy ~shift =
+  let i = Ir.av "i" in
+  {
+    Ir.pname = "oob";
+    decls =
+      List.map (fun a -> { Ir.aname = a; extents = [ oob_n ] }) [ "a"; "b" ];
+    nests =
+      [
+        {
+          Ir.nid = "L1";
+          levels =
+            [ { Ir.lvar = "i"; lo = 0; hi = oob_n - 1; parallel = true } ];
+          body =
+            [
+              Ir.stmt (Ir.aref "b" [ i ])
+                (Ir.Read (Ir.aref "a" [ Ir.av ~c:shift "i" ]));
+            ];
+        };
+      ];
+  }
+
 (* The run engine must fail exactly like the scalar one on a schedule
    that walks out of bounds: same exception, same message. *)
 let test_run_compressed_oob () =
-  let n = 24 in
-  let i = Ir.av "i" in
-  let oob =
-    {
-      Ir.pname = "oob";
-      decls =
-        List.map (fun a -> { Ir.aname = a; extents = [ n ] }) [ "a"; "b" ];
-      nests =
-        [
-          {
-            Ir.nid = "L1";
-            levels =
-              [ { Ir.lvar = "i"; lo = 0; hi = n - 1; parallel = true } ];
-            body =
-              [
-                Ir.stmt (Ir.aref "b" [ i ])
-                  (Ir.Read (Ir.aref "a" [ Ir.av ~c:2 "i" ]));
-              ];
-          };
-        ];
-    }
-  in
-  let sched = Schedule.unfused ~nprocs:1 oob in
+  let n = oob_n in
+  let sched = Schedule.unfused ~nprocs:1 (shifted_copy ~shift:2) in
   let msg mode =
     match
       Exec.run_opts Exec.default_opts
@@ -278,6 +281,124 @@ let test_run_compressed_oob () =
   Alcotest.(check string)
     "names the array" (Printf.sprintf "a dim 0 index %d not in [0,%d)" n n)
     (msg Exec.Miss_only)
+
+(* ------------------------------------------------------------------ *)
+(* Recycled cache instances                                             *)
+
+(* [f ()] on a freshly spawned domain, whose engine has no instances of
+   an earlier run to recycle. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let run_with_sink ~jobs req =
+  let sink = Obs.create () in
+  let r = Exec.run_opts (Exec.opts ~sink ~jobs ()) req in
+  (r, sink)
+
+let modes = [ Exec.Miss_only; Exec.Run_compressed ]
+
+(* A run that reuses the caches and TLBs of an earlier run on its
+   domain (same machine, program and layout, hence the same geometry,
+   but another variant, mode, processor count or step count) must be
+   bit-identical, sink included, to the same request run on fresh
+   instances. *)
+let prop_recycled_identical =
+  let gen =
+    let open Gen in
+    let* ((c, _) as first) = gen_run_case in
+    let* mode1 = oneofl modes in
+    let* fuse = bool in
+    let* nprocs = int_range 1 6 in
+    let* steps = int_range 1 2 in
+    let* mode2 = oneofl modes in
+    let c2 = { c with fuse; nprocs; steps } in
+    let c2 =
+      if c2 = c && mode2 = mode1 then { c2 with fuse = not c.fuse } else c2
+    in
+    return (first, mode1, c2, mode2)
+  in
+  let print (first, mode1, c2, mode2) =
+    Printf.sprintf "%s %s, then fused=%b nprocs=%d steps=%d %s"
+      (print_run_case first) (Sim.mode_to_string mode1) c2.fuse c2.nprocs
+      c2.steps (Sim.mode_to_string mode2)
+  in
+  Test.make ~count:80 ~name:"recycled caches give fresh results"
+    (make ~print gen)
+    (fun ((c, geom), mode1, c2, mode2) ->
+      let _, mk = kernels.(c.kernel) in
+      let p = mk c.n in
+      let machine = snd geometries.(geom) in
+      let layout = layout_of_pick ~machine c.pick p in
+      let request c mode =
+        match schedule_of_case c p with
+        | exception (Schedule.Illegal _ | Invalid_argument _) -> None
+        | sched ->
+          Some (Sim.of_schedule ~mode ~layout ~machine ~steps:c.steps sched)
+      in
+      match (request c mode1, request c2 mode2) with
+      | Some first, Some second ->
+        ignore (Exec.run_opts (Exec.opts ~jobs:c.jobs ()) first);
+        let r, sink = run_with_sink ~jobs:c.jobs second in
+        let r0, sink0 =
+          on_fresh_domain (fun () -> run_with_sink ~jobs:1 second)
+        in
+        if not (results_identical r r0) then
+          Test.fail_report "recycled result differs from a fresh domain's";
+        if not (sinks_identical sink sink0) then
+          Test.fail_report "recycled sink differs from a fresh domain's";
+        true
+      | _ -> true)
+
+(* A run that raises leaves nothing behind that a later run of the same
+   geometry could see: valid, out of bounds, valid again, all on this
+   domain, against the valid run on a fresh domain. *)
+let test_recycle_after_oob () =
+  let machine = Machine.convex in
+  let req shift =
+    Sim.of_schedule ~machine (Schedule.unfused ~nprocs:2 (shifted_copy ~shift))
+  in
+  let valid = req 0 in
+  let run () = run_with_sink ~jobs:1 valid in
+  let fresh, fresh_sink = on_fresh_domain run in
+  ignore (run ());
+  (match Exec.run_opts (Exec.opts ~jobs:1 ()) (req 2) with
+  | _ -> Alcotest.fail "expected Out_of_bounds"
+  | exception Interp.Out_of_bounds _ -> ());
+  let r, sink = run () in
+  Alcotest.(check bool) "result after a failed run" true
+    (results_identical fresh r);
+  Alcotest.(check bool) "sink after a failed run" true
+    (sinks_identical fresh_sink sink)
+
+(* Two systhreads of one domain share its recycled instances.  Each run
+   takes the domain's whole list at once, so the threads hand instances
+   to each other between runs but never use one together: 40 runs per
+   thread of unfused and fused ll18 on the Convex, one footprint, each
+   against its fresh-domain reference. *)
+let test_recycle_two_threads () =
+  let p = Lf_kernels.Ll18.program ~n:96 () in
+  let machine = Machine.convex in
+  let reqs =
+    [| Sim.unfused ~machine ~nprocs:4 p; Sim.fused ~machine ~nprocs:4 p |]
+  in
+  let run req = Exec.run_opts (Exec.opts ~jobs:1 ()) req in
+  let fresh = on_fresh_domain (fun () -> Array.map run reqs) in
+  let failure = Atomic.make None in
+  let fail msg = ignore (Atomic.compare_and_set failure None (Some msg)) in
+  let worker k () =
+    for i = 0 to 39 do
+      let j = (i + k) mod 2 in
+      match run reqs.(j) with
+      | r ->
+        if not (results_identical r fresh.(j)) then
+          fail (Printf.sprintf "thread %d run %d: result differs" k i)
+      | exception e ->
+        fail
+          (Printf.sprintf "thread %d run %d raised %s" k i
+             (Printexc.to_string e))
+    done
+  in
+  List.iter Thread.join (List.init 2 (fun k -> Thread.create (worker k) ()));
+  Option.iter Alcotest.fail (Atomic.get failure)
 
 (* ------------------------------------------------------------------ *)
 (* Directed tests                                                       *)
@@ -353,30 +474,7 @@ let test_explicit_pool () =
    on the caller (the pool may not strand the join), and the engine
    must stay usable afterwards. *)
 let test_parallel_exception_propagates () =
-  let n = 24 in
-  let i = Ir.av "i" in
-  let oob =
-    {
-      Ir.pname = "oob";
-      decls =
-        List.map (fun a -> { Ir.aname = a; extents = [ n ] }) [ "a"; "b" ];
-      nests =
-        [
-          {
-            Ir.nid = "L1";
-            levels =
-              [ { Ir.lvar = "i"; lo = 0; hi = n - 1; parallel = true } ];
-            body =
-              [
-                (* reads a[i+2]: out of bounds at i = n-2 *)
-                Ir.stmt (Ir.aref "b" [ i ])
-                  (Ir.Read (Ir.aref "a" [ Ir.av ~c:2 "i" ]));
-              ];
-          };
-        ];
-    }
-  in
-  let sched = Schedule.unfused ~nprocs:3 oob in
+  let sched = Schedule.unfused ~nprocs:3 (shifted_copy ~shift:2) in
   (match
      Exec.run_opts (Exec.opts ~jobs:2 ())
        (Sim.of_schedule ~machine:Machine.ksr2 sched)
@@ -397,13 +495,28 @@ let test_parallel_exception_propagates () =
   Alcotest.(check bool) "engine usable after worker exception" true
     (results_identical serial par)
 
+(* Words [f ()] allocates straight into this domain's major heap:
+   [Gc.counters] is per domain, and its major words less its promoted
+   words are the direct ones. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (f ());
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float (major1 -. promoted1 -. (major0 -. promoted0))
+
 (* Neither tier allocates per simulated access: a cache probe, a TLB
    probe and a statement guard cost no heap words, so a serial run's
    minor allocation divided by its references stays far below one word
    (set-up, the schedule and the result are all that remain: 0.05-0.3
    words here).  The bound is half a word because one closure per
    statement instance, about 0.7 words per reference on ll18, must
-   fail it too.  The first run warms the engine's lazily built state. *)
+   fail it too.  The first run warms the engine's lazily built state.
+
+   Nor does a run allocate its cache state anew.  On a fresh domain the
+   first run builds the instances, which on the direct-mapped Convex
+   is one tag word per set (and a header) per processor, with no LRU
+   stamps; the second recycles them and allocates nothing directly in
+   the major heap, on either machine. *)
 let test_allocation_per_ref () =
   let p = Lf_kernels.Ll18.program ~n:64 () in
   List.iter
@@ -427,6 +540,26 @@ let test_allocation_per_ref () =
                   mname tname fused per_ref)
             [ false; true ])
         [ ("miss-only", Exec.Miss_only); ("runs", Exec.Run_compressed) ])
+    [ ("ksr2", Machine.ksr2); ("convex", Machine.convex) ];
+  List.iter
+    (fun (mname, (machine : Machine.config)) ->
+      let nprocs = 4 in
+      let req = Sim.fused ~machine ~nprocs p in
+      let run () = Exec.run_opts (Exec.opts ~jobs:1 ()) req in
+      let first, second =
+        on_fresh_domain (fun () ->
+            let first = direct_major_words run in
+            (first, direct_major_words run))
+      in
+      let c = machine.Machine.cache in
+      if c.Cache.assoc = 1 then begin
+        let nsets = c.Cache.capacity / c.Cache.line in
+        if first > nprocs * (nsets + 1) then
+          Alcotest.failf "%s: first run allocated %d major words, above %d"
+            mname first
+            (nprocs * (nsets + 1))
+      end;
+      Alcotest.(check int) (mname ^ ": second run's major words") 0 second)
     [ ("ksr2", Machine.ksr2); ("convex", Machine.convex) ]
 
 let test_jobs_env_default () =
@@ -442,6 +575,11 @@ let suite =
     Tutil.to_alcotest (prop_parallel_identical ~machine:Machine.ksr2 "ksr2");
     Tutil.to_alcotest (prop_parallel_identical ~machine:Machine.convex "convex");
     Tutil.to_alcotest prop_run_compressed_identical;
+    Tutil.to_alcotest prop_recycled_identical;
+    Alcotest.test_case "recycled caches after an out-of-bounds run" `Quick
+      test_recycle_after_oob;
+    Alcotest.test_case "two threads of one domain recycle caches" `Quick
+      test_recycle_two_threads;
     Alcotest.test_case "run-compressed: out-of-bounds parity" `Quick
       test_run_compressed_oob;
     Alcotest.test_case "miss-only: ll18/calc/filter" `Quick

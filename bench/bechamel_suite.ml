@@ -135,6 +135,22 @@ let test_served_miss_sim =
   Test.make ~name:"substrate/served-miss-sim"
     (Staged.stage (fun () -> Exec.run_opts (Exec.opts ~jobs:1 ()) hit_request))
 
+(* One miss-only request of the `sweep-cold` mix, fused ll18 at its
+   centre size n = 112 on the KSR2, partitioned and strip-mined as the
+   sweep builds it: the counter-oracle tier alone, serial. *)
+let miss_only_request =
+  let p = Lf_kernels.Ll18.program ~n:112 () in
+  let m = Machine.ksr2 in
+  Lf_machine.Sim.fused
+    ~layout:(Lf_queue.Sweep.partitioned_layout m p)
+    ~mode:Lf_machine.Sim.Miss_only ~machine:m ~nprocs:4
+    ~strip:(Lf_queue.Sweep.strip_for m p) p
+
+let test_miss_only_request =
+  Test.make ~name:"substrate/miss-only-request"
+    (Staged.stage (fun () ->
+         Exec.run_opts (Exec.opts ~jobs:1 ()) miss_only_request))
+
 let test_hit_decode =
   let payload =
     Lf_serve.Wire.client_msg_to_payload
@@ -181,6 +197,7 @@ let all_tests pools =
        test_cache_run_throughput;
        test_canonical_render;
        test_served_miss_sim;
+       test_miss_only_request;
        test_hit_decode;
        test_tune_exact_cold;
        test_tune_exact_memo;

@@ -8,10 +8,12 @@
    The engine is split into three layers so the host can parallelise
    the simulation without changing a single observable:
 
-   - {b stream generation}: each simulated processor's boxes are
-     compiled to closures that walk the iteration space and emit the
-     per-processor address stream (access by access in [Miss_only]
-     mode, line-granular runs in [Run_compressed] mode);
+   - {b stream generation}: each nest's references are compiled once
+     per run to subscript rows bound to the layout, and each simulated
+     processor's boxes are walked to emit its address stream (access
+     by access in [Miss_only] mode, each innermost row's addresses
+     located once and advanced by their byte strides; line-granular
+     runs in [Run_compressed] mode);
    - {b cache replay}: the stream drives that processor's private
      [Lf_cache] instances — state owned by exactly one simulated
      processor, hence by exactly one host domain at a time;
@@ -337,6 +339,13 @@ let ref_in_bounds cr (vals : int array) =
   done;
   !ok
 
+let all_in_bounds (refs : cref array) vals =
+  let j = ref 0 in
+  while !j < Array.length refs && ref_in_bounds refs.(!j) vals do
+    incr j
+  done;
+  !j = Array.length refs
+
 type cstmt = {
   cguard : (int * int * int) array;  (* (level index, lo, hi) *)
   ctrace : cref array;
@@ -344,7 +353,7 @@ type cstmt = {
          then the lhs write *)
 }
 
-let compile_nest layout decls (n : Ir.nest) =
+let compile_stmts layout decls (n : Ir.nest) =
   let vars = Array.of_list (Ir.nest_vars n) in
   let var_index x =
     let rec go i =
@@ -370,6 +379,28 @@ let compile_nest layout decls (n : Ir.nest) =
          })
        n.body)
 
+(* A nest compiled once per run.  [crefs] concatenates the statements'
+   address streams in body order, so statement [s] issues
+   [crefs.(cfirst.(s)) .. crefs.(cfirst.(s + 1) - 1)]; [cstrides] holds
+   each one's [istride] for the miss-only row replay. *)
+type cnest = {
+  cstmts : cstmt array;
+  crefs : cref array;
+  cstrides : int array;
+  cfirst : int array;
+}
+
+let compile_nest layout decls n =
+  let cstmts = compile_stmts layout decls n in
+  let crefs =
+    Array.concat (List.map (fun s -> s.ctrace) (Array.to_list cstmts))
+  in
+  let cfirst = Array.make (Array.length cstmts + 1) 0 in
+  Array.iteri
+    (fun s st -> cfirst.(s + 1) <- cfirst.(s) + Array.length st.ctrace)
+    cstmts;
+  { cstmts; crefs; cstrides = Array.map (fun r -> r.istride) crefs; cfirst }
+
 (* A loop rather than a local recursive function: checking a guard
    allocates nothing. *)
 let guard_holds g (vals : int array) =
@@ -384,9 +415,10 @@ let guard_holds g (vals : int array) =
   done;
   !i = Array.length g
 
-(* Miss_only: replay the statement's address stream against the cache.
-   Addresses are layout-dependent but value-independent, so the stream
-   alone determines hits, misses and hence cycles. *)
+(* Replay the statement's address stream against the cache, locating
+   every address from the subscripts.  Addresses are layout-dependent
+   but value-independent, so the stream alone determines hits, misses
+   and hence cycles. *)
 let exec_cstmt_trace ctx vals s =
   if guard_holds s.cguard vals then begin
     let tr = s.ctrace in
@@ -684,7 +716,8 @@ let sweep_segments ctx lmask plmask assoc1 stmts
 
 (* Run_compressed's walk of one box: the outer levels point by point,
    the innermost level as segments of strided runs. *)
-let walk_runs ctx (stmts : cstmt array) vals (b : Schedule.box) =
+let walk_runs ctx (c : cnest) vals (b : Schedule.box) =
+  let stmts = c.cstmts in
   let nd = Array.length vals in
   if nd = 0 then exec_stmts_trace ctx vals stmts
   else begin
@@ -737,33 +770,100 @@ let walk_runs ctx (stmts : cstmt array) vals (b : Schedule.box) =
     go 0
   end
 
-(* Miss_only's walk of one box: every point, access by access. *)
-let walk_points ctx (stmts : cstmt array) vals (b : Schedule.box) =
+(* Issue the references [j0, j1) of [c.crefs] at their current
+   addresses, each to the cache and then to the TLB.  The dispatch on
+   the probe and the TLB is made once per statement instance, not once
+   per access. *)
+let issue ctx (c : cnest) addrs j0 j1 =
+  match (ctx.probe, ctx.tlb) with
+  | None, None ->
+    for j = j0 to j1 - 1 do
+      ignore (Cache.access ctx.cache addrs.(j))
+    done
+  | None, Some t ->
+    for j = j0 to j1 - 1 do
+      let a = addrs.(j) in
+      ignore (Cache.access ctx.cache a);
+      ignore (Cache.access t a)
+    done
+  | Some _, _ ->
+    for j = j0 to j1 - 1 do
+      access ctx c.crefs.(j).aid addrs.(j)
+    done
+
+(* One innermost row [lo, hi] of a box, the outer levels fixed in
+   [vals], every reference of the nest known to be in bounds on it.
+   Each reference's address is located once, at [lo], and advanced by
+   its innermost byte stride per point; guards are still tested point
+   by point, and the accesses go out in the per-point walk's order. *)
+let replay_row ctx (c : cnest) addrs vals iv lo hi =
+  let stmts = c.cstmts and first = c.cfirst and strides = c.cstrides in
+  let k = Array.length addrs in
+  vals.(iv) <- lo;
+  for j = 0 to k - 1 do
+    addrs.(j) <- locate_addr c.crefs.(j) vals
+  done;
+  for w = lo to hi do
+    vals.(iv) <- w;
+    for s = 0 to Array.length stmts - 1 do
+      if guard_holds stmts.(s).cguard vals then
+        issue ctx c addrs first.(s) first.(s + 1)
+    done;
+    for j = 0 to k - 1 do
+      addrs.(j) <- addrs.(j) + strides.(j)
+    done
+  done
+
+(* Miss_only's walk of one box: the outer levels point by point, each
+   innermost row by [replay_row] when every reference of the nest is in
+   bounds at both ends of the row.  Subscripts are affine in the
+   innermost variable, so they are then in bounds all along it.  Other
+   rows (a bad schedule's, or one where only a guard keeps a reference
+   inside its array) and 0-d boxes take the raising per-point walk, so
+   a bad schedule fails at the same access with the same message. *)
+let walk_points ctx (c : cnest) vals (b : Schedule.box) =
   let nd = Array.length vals in
-  let rec go d =
-    if d = nd then exec_stmts_trace ctx vals stmts
-    else begin
-      let lo, hi = b.Schedule.ranges.(d) in
-      for v = lo to hi do
-        vals.(d) <- v;
-        go (d + 1)
-      done
-    end
-  in
-  go 0
+  if nd = 0 then exec_stmts_trace ctx vals c.cstmts
+  else begin
+    let iv = nd - 1 in
+    let lo, hi = b.Schedule.ranges.(iv) in
+    let addrs = Array.make (Array.length c.crefs) 0 in
+    let rec go d =
+      if d = iv then begin
+        vals.(iv) <- hi;
+        let ok = all_in_bounds c.crefs vals in
+        vals.(iv) <- lo;
+        if ok && all_in_bounds c.crefs vals then
+          replay_row ctx c addrs vals iv lo hi
+        else
+          for w = lo to hi do
+            vals.(iv) <- w;
+            exec_stmts_trace ctx vals c.cstmts
+          done
+      end
+      else begin
+        let dlo, dhi = b.Schedule.ranges.(d) in
+        for v = dlo to dhi do
+          vals.(d) <- v;
+          go (d + 1)
+        done
+      end
+    in
+    go 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Running a schedule                                                  *)
 
 let exec_box walk compiled nest_arity ctx (b : Schedule.box) =
-  let stmts : cstmt array = compiled.(b.Schedule.nest) in
+  let c : cnest = compiled.(b.Schedule.nest) in
   let vals = Array.make nest_arity.(b.Schedule.nest) 0 in
   let t0 = match ctx.probe with None -> 0.0 | Some _ -> ctx_cycles ctx in
   ctx.boxes <- ctx.boxes + 1;
   let iters = Schedule.box_iterations b in
   ctx.iters <- ctx.iters + iters;
-  ctx.ops <- ctx.ops + (iters * Array.length stmts);
-  walk ctx stmts vals b;
+  ctx.ops <- ctx.ops + (iters * Array.length c.cstmts);
+  walk ctx c vals b;
   match ctx.probe with
   | None -> ()
   | Some p ->

@@ -35,11 +35,19 @@ type mode = Sim.mode =
   | Miss_only
       (** scalar address replay: walk every iteration point and replay
           each statement instance's address stream (right-hand-side
-          reads in evaluation order, then the write) access by access.
-          Addresses are layout-dependent but value-independent, so the
-          stream alone determines every performance observable.  The
-          counter oracle [Run_compressed] is tested against, and its
-          exact fallback. *)
+          reads in evaluation order, then the write) access by access,
+          each access to the cache and then the TLB.  Addresses are
+          layout-dependent but value-independent, so the stream alone
+          determines every performance observable.  The walk goes row
+          by row: when every reference of the nest is in bounds at
+          both ends of an innermost row (subscripts are affine, so then
+          along all of it), each reference's address is computed once
+          at the row's start and advanced by its innermost byte stride;
+          guards are still tested at every point.  Other rows, and 0-d
+          boxes, compute every address from the subscripts and fail
+          with {!Lf_ir.Interp.Out_of_bounds} at the first bad access.
+          The counter oracle [Run_compressed] is tested against, and
+          its exact fallback. *)
   | Run_compressed
       (** batched line-granular replay: the iteration walker emits
           per-reference [(start, byte stride, count)] runs instead of

@@ -250,8 +250,10 @@ let worker ?wid ?(ttl = default_ttl) ?(poll_s = 0.05) ?idle_timeout_s
     match wid with Some w -> w | None -> Printf.sprintf "w%d" (Unix.getpid ())
   in
   (* Heartbeat thread: refresh the held lease's mtime well inside the
-     ttl so a live worker's lease is never mistaken for a corpse's. *)
-  let hb_stop = Atomic.make false in
+     ttl so a live worker's lease is never mistaken for a corpse's.  It
+     waits out each period in [select] on a pipe, and stopping it
+     writes one byte there, so the worker returns as soon as its loop
+     ends, not up to a period later, however the loop ends. *)
   let hb_mu = Mutex.create () in
   let hb_lease = ref None in
   let set_lease l =
@@ -259,19 +261,27 @@ let worker ?wid ?(ttl = default_ttl) ?(poll_s = 0.05) ?idle_timeout_s
     hb_lease := l;
     Mutex.unlock hb_mu
   in
-  let hb =
-    Thread.create
-      (fun () ->
-        while not (Atomic.get hb_stop) do
-          Mutex.lock hb_mu;
-          (match !hb_lease with
-          | Some p -> ( try Unix.utimes p 0.0 0.0 with _ -> ())
-          | None -> ());
-          Mutex.unlock hb_mu;
-          Thread.delay (Float.max 0.01 (ttl /. 4.0))
-        done)
-      ()
+  let period = Float.max 0.01 (ttl /. 4.0) in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let rec beat () =
+    Mutex.lock hb_mu;
+    (match !hb_lease with
+    | Some p -> ( try Unix.utimes p 0.0 0.0 with _ -> ())
+    | None -> ());
+    Mutex.unlock hb_mu;
+    match Unix.select [ wake_r ] [] [] period with
+    | [], _, _ -> beat ()
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> beat ()
   in
+  let hb = Thread.create beat () in
+  let stop_heartbeat () =
+    ignore (Unix.write_substring wake_w "x" 0 1);
+    Thread.join hb;
+    Unix.close wake_r;
+    Unix.close wake_w
+  in
+  Fun.protect ~finally:stop_heartbeat @@ fun () ->
   let scope = Batch.Counters.create () in
   let claimed = ref 0 and failed = ref 0 and reclaimed = ref 0 in
   let idle_since = ref (Unix.gettimeofday ()) in
@@ -323,8 +333,6 @@ let worker ?wid ?(ttl = default_ttl) ?(poll_s = 0.05) ?idle_timeout_s
         if Unix.gettimeofday () -. !idle_since > limit then stop := true
         else Thread.delay poll_s)
   done;
-  Atomic.set hb_stop true;
-  Thread.join hb;
   {
     w_claimed = !claimed;
     w_computed = Batch.Counters.computed scope;

@@ -309,6 +309,18 @@ let test_failed_task_terminal () =
   let st2 = Queue.enqueue_misses q ~store [ bad ] in
   Alcotest.(check int) "enqueue_misses skips it" 1 st2.Queue.e_failed_before
 
+(* A worker returns as soon as its loop ends: stopping the heartbeat
+   wakes its thread instead of waiting out a ttl/4 sleep, 10 s here. *)
+let test_worker_returns_promptly () =
+  let store = scratch_store () in
+  let q = scratch_queue () in
+  let t0 = Unix.gettimeofday () in
+  let ws = Queue.worker ~wid:"idle" ~ttl:40. ~opts:serial ~store q in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "claimed nothing" 0 ws.Queue.w_claimed;
+  if dt >= 2.0 then
+    Alcotest.failf "a worker on an empty queue took %.2f s to return" dt
+
 (* ------------------------------------------------------------------ *)
 (* Shared fingerprint view                                             *)
 
@@ -369,4 +381,6 @@ let suite =
       test_failed_task_terminal;
     Alcotest.test_case "fingerprint file round trip" `Quick
       test_fingerprint_file_roundtrip;
+    Alcotest.test_case "worker returns when its queue drains" `Quick
+      test_worker_returns_promptly;
   ]

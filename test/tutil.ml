@@ -4,6 +4,9 @@ module Ir = Lf_ir.Ir
 module Schedule = Lf_core.Schedule
 module Exec = Lf_machine.Exec
 module Sim = Lf_machine.Sim
+module Machine = Lf_machine.Machine
+module Partition = Lf_core.Partition
+module Cache = Lf_cache.Cache
 module Obs = Lf_obs.Obs
 
 (* Reproducible QCheck runs: an explicit seed, overridable with
@@ -178,3 +181,113 @@ let run_walked (req : Sim.request) =
           d.Ir.aname got want)
     prog.Ir.decls;
   r
+
+(* The counters of [req] recomputed without any of the engine's address
+   code.  At every point of every box, each reference of every
+   statement whose guard holds is evaluated from its IR subscripts and
+   placed with [Partition.find_placement]; the addresses go, in the
+   engine's order (the reads, then the write; cache, then TLB), to a
+   fresh cache and TLB per processor that persist across phases and
+   steps.  A subscript outside its array fails the test. *)
+type replayed = {
+  refs : int;
+  misses : int;
+  cold : int;
+  tlb : int;
+  proc : int array;
+}
+
+let replay_addresses (req : Sim.request) =
+  let sched = Sim.schedule_of req in
+  let layout = Sim.layout_of req in
+  let m = req.Sim.machine in
+  let prog = sched.Schedule.prog in
+  let nests = Array.of_list prog.Ir.nests in
+  let nprocs = sched.Schedule.nprocs in
+  let caches = Array.init nprocs (fun _ -> Cache.create m.Machine.cache) in
+  let tlbs =
+    Array.init nprocs (fun _ -> Option.map Cache.create m.Machine.tlb)
+  in
+  let address (a : Ir.aref) env =
+    let p = Partition.find_placement layout a.Ir.array in
+    let extents = (Ir.find_decl prog a.Ir.array).Ir.extents in
+    let idx =
+      List.fold_left2
+        (fun (acc, d) (ext, aext) sub ->
+          let v = Ir.affine_eval sub env in
+          if v < 0 || v >= ext then
+            Alcotest.failf "oracle: %s dim %d index %d not in [0,%d)" a.Ir.array
+              d v ext;
+          ((acc * aext) + v, d + 1))
+        (0, 0)
+        (List.combine extents (Array.to_list p.Partition.aextents))
+        a.Ir.index
+      |> fst
+    in
+    p.Partition.start + (idx * layout.Partition.elem_bytes)
+  in
+  for _ = 1 to req.Sim.steps do
+    List.iter
+      (Array.iteri (fun proc boxes ->
+           List.iter
+             (fun (b : Schedule.box) ->
+               let n = nests.(b.Schedule.nest) in
+               let index = List.mapi (fun i v -> (v, i)) (Ir.nest_vars n) in
+               let point = Array.make (List.length index) 0 in
+               let env x = point.(List.assoc x index) in
+               let rec walk d =
+                 if d = Array.length point then
+                   List.iter
+                     (fun (s : Ir.stmt) ->
+                       if Ir.guard_holds s.Ir.guard env then
+                         List.iter
+                           (fun a ->
+                             let addr = address a env in
+                             ignore (Cache.access caches.(proc) addr);
+                             Option.iter
+                               (fun t -> ignore (Cache.access t addr))
+                               tlbs.(proc))
+                           (Ir.stmt_reads s @ [ s.Ir.lhs ]))
+                     n.Ir.body
+                 else
+                   let lo, hi = b.Schedule.ranges.(d) in
+                   for v = lo to hi do
+                     point.(d) <- v;
+                     walk (d + 1)
+                   done
+               in
+               walk 0)
+             boxes))
+      sched.Schedule.phases
+  done;
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 caches in
+  {
+    refs = sum Cache.references;
+    misses = sum Cache.miss_count;
+    cold = sum (fun c -> (Cache.stats c).Cache.s_cold);
+    tlb =
+      Array.fold_left
+        (fun acc t -> acc + Option.fold ~none:0 ~some:Cache.miss_count t)
+        0 tlbs;
+    proc = Array.map Cache.miss_count caches;
+  }
+
+(* [None] when the engine's [r] has [o]'s counters, else what differs. *)
+let replay_mismatch (o : replayed) (r : Exec.result) =
+  let diffs =
+    List.filter_map
+      (fun (name, want, got) ->
+        if want = got then None
+        else Some (Printf.sprintf "%s %d (oracle %d)" name got want))
+      [
+        ("refs", o.refs, r.Exec.total_refs);
+        ("misses", o.misses, r.Exec.total_misses);
+        ("cold", o.cold, r.Exec.cold_misses);
+        ("tlb", o.tlb, r.Exec.tlb_misses);
+      ]
+  in
+  let diffs =
+    if o.proc = r.Exec.proc_misses then diffs
+    else diffs @ [ "per-processor misses" ]
+  in
+  match diffs with [] -> None | l -> Some (String.concat ", " l)

@@ -103,14 +103,6 @@ let test_tlb_throughput =
            addr := (!addr + shape.Lf_cache.Cache.line + 8) mod span
          done))
 
-(* The same 100k-access unit stream consumed as one run: the batched
-   tier pays one way probe per line group instead of one per access. *)
-let test_cache_run_throughput =
-  let c = Lf_cache.Cache.of_geometry (Lf_cache.Cache.convex_geometry ()) in
-  Test.make ~name:"substrate/cache-100k-run"
-    (Staged.stage (fun () ->
-         Lf_cache.Cache.access_run c ~addr:0 ~stride:8 ~n:100_000))
-
 (* The layers a warm served hit pays for: naming a request (its
    canonical text, program included) and decoding a client frame, whose
    strict parse re-renders the request to check the round trip.  The
@@ -194,7 +186,6 @@ let all_tests pools =
        test_f26_alignrep;
        test_cache_throughput;
        test_tlb_throughput;
-       test_cache_run_throughput;
        test_canonical_render;
        test_served_miss_sim;
        test_miss_only_request;

@@ -37,16 +37,17 @@ let cap_procs cfg procs =
   in
   if cfg.quick then List.filter (fun p -> p <= 8) procs else procs
 
-(* Layout/strip helpers now live in Lf_queue.Sweep (shared with the
-   sweep CLI and the queue bench); these are the historical names. *)
-let cache_shape = Lf_queue.Sweep.cache_shape
-let partitioned_layout = Lf_queue.Sweep.partitioned_layout
+(* Layout/strip helpers live in Lf_machine.Machine (shared with the
+   tuner, the sweep mix and transformation scripts); these are the
+   historical names. *)
+let cache_shape = Machine.cache_shape
+let partitioned_layout = Machine.partitioned_layout
 
 let contiguous_layout (p : Ir.program) = Partition.contiguous p.Ir.decls
 
 let padded_layout ~pad (p : Ir.program) = Partition.padded ~pad p.Ir.decls
 
-let strip_for = Lf_queue.Sweep.strip_for
+let strip_for = Machine.strip_for
 
 (* One fused-vs-unfused measurement with cache-partitioned layout. *)
 type pair = {

@@ -692,11 +692,7 @@ let tune_app ~driver ~objective ~opts ~machine ~nprocs (app : Apps.t) =
       let per_rep =
         match objective with
         | TSearch.Cycles ->
-          let layout =
-            Partition.cache_partitioned
-              ~cache:(Lf_tune.Space.cache_shape machine)
-              rem.Ir.decls
-          in
+          let layout = Machine.partitioned_layout machine rem in
           let r =
             Batch.run_one_with opts
               (Sim.unfused ~layout ~mode:Sim.Run_compressed ~machine ~nprocs

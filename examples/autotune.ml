@@ -24,7 +24,7 @@ let () =
   Fmt.pr "paper default: %a@." Space.pp
     (Space.paper_default ~machine p);
   Fmt.pr "rule-of-thumb strip (sec. 3.4): %d@.@."
-    (Space.rule_strip ~machine p);
+    (Machine.strip_for machine p);
 
   (* 2. The two cost tiers.  The analytic tier ranks candidates without
      simulating; the exact tier simulates on Exec and memoises by a

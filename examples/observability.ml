@@ -60,11 +60,7 @@ let () =
 
   (* 5. Cache partitioning erases the cross-array column entirely. *)
   let psink = Obs.create ~layout:"partitioned" () in
-  let playout =
-    Lf_core.Partition.cache_partitioned
-      ~cache:(Space.cache_shape machine)
-      p.Ir.decls
-  in
+  let playout = Machine.partitioned_layout machine p in
   let pr =
     Exec.run_opts (Exec.opts ~sink:psink ())
       (Lf_machine.Sim.fused ~layout:playout ~machine ~nprocs ~strip p)

@@ -31,6 +31,81 @@ let note_computed scope =
   Atomic.incr computed_total;
   Option.iter (fun s -> Atomic.incr s.Counters.s_computed) scope
 
+module Result_lines = struct
+  exception Malformed of string
+
+  let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+
+  let fbits x = Int64.to_string (Int64.bits_of_float x)
+
+  let add b (res : Exec.result) =
+    let line fmt = Printf.bprintf b fmt in
+    line "cycles %s\n" (fbits res.Exec.cycles);
+    line "barrier %s\n" (fbits res.Exec.barrier_cycles);
+    line "phases %d\n" (Array.length res.Exec.phase_cycles);
+    Array.iter (fun c -> line "p %s\n" (fbits c)) res.Exec.phase_cycles;
+    line "refs %d\n" res.Exec.total_refs;
+    line "misses %d\n" res.Exec.total_misses;
+    line "cold %d\n" res.Exec.cold_misses;
+    line "tlb %d\n" res.Exec.tlb_misses;
+    line "procs %d\n" (Array.length res.Exec.proc_misses);
+    Array.iter (fun m -> line "m %d\n" m) res.Exec.proc_misses;
+    line "end\n"
+
+  type cursor = string list ref
+
+  let cursor text = ref (String.split_on_char '\n' text)
+
+  let next cur =
+    match !cur with
+    | [] -> malformed "truncated"
+    | l :: tl ->
+      cur := tl;
+      l
+
+  let field cur key =
+    let l = next cur in
+    let pl = String.length key + 1 in
+    if String.length l > pl && String.sub l 0 pl = key ^ " " then
+      String.sub l pl (String.length l - pl)
+    else malformed "expected field %s" key
+
+  let int cur key =
+    match int_of_string_opt (field cur key) with
+    | Some n -> n
+    | None -> malformed "bad integer in %s" key
+
+  let flt cur key =
+    match Int64.of_string_opt (field cur key) with
+    | Some bits -> Int64.float_of_bits bits
+    | None -> malformed "bad float bits in %s" key
+
+  let read cur : Exec.result =
+    let cycles = flt cur "cycles" in
+    let barrier_cycles = flt cur "barrier" in
+    let nphases = int cur "phases" in
+    if nphases < 0 || nphases > 1_000_000 then malformed "phase count";
+    let phase_cycles = Array.init nphases (fun _ -> flt cur "p") in
+    let total_refs = int cur "refs" in
+    let total_misses = int cur "misses" in
+    let cold_misses = int cur "cold" in
+    let tlb_misses = int cur "tlb" in
+    let nprocs = int cur "procs" in
+    if nprocs < 0 || nprocs > 1_000_000 then malformed "proc count";
+    let proc_misses = Array.init nprocs (fun _ -> int cur "m") in
+    if next cur <> "end" then malformed "missing end";
+    {
+      Exec.cycles;
+      phase_cycles;
+      barrier_cycles;
+      total_refs;
+      total_misses;
+      cold_misses;
+      tlb_misses;
+      proc_misses;
+    }
+end
+
 module Store = struct
   type t = {
     sdir : string;
@@ -73,80 +148,28 @@ module Store = struct
 
   let render (r : Sim.request) digest (res : Exec.result) =
     let b = Buffer.create 256 in
-    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s;
-                                     Buffer.add_char b '\n') fmt in
-    let fbits x = Int64.to_string (Int64.bits_of_float x) in
-    line "lfres1 %s" Sim.version_salt;
-    line "digest %s" digest;
+    Printf.bprintf b "lfres1 %s\ndigest %s\n" Sim.version_salt digest;
     let fps = Sim.Fingerprint.of_request r in
-    line "fps %d" (List.length fps);
-    List.iter (fun (n, v) -> line "f %s %s" n v) fps;
-    line "mode %s" (Sim.mode_to_string r.Sim.mode);
-    line "cycles %s" (fbits res.Exec.cycles);
-    line "barrier %s" (fbits res.Exec.barrier_cycles);
-    line "phases %d" (Array.length res.Exec.phase_cycles);
-    Array.iter (fun c -> line "p %s" (fbits c)) res.Exec.phase_cycles;
-    line "refs %d" res.Exec.total_refs;
-    line "misses %d" res.Exec.total_misses;
-    line "cold %d" res.Exec.cold_misses;
-    line "tlb %d" res.Exec.tlb_misses;
-    line "procs %d" (Array.length res.Exec.proc_misses);
-    Array.iter (fun m -> line "m %d" m) res.Exec.proc_misses;
-    line "end";
+    Printf.bprintf b "fps %d\n" (List.length fps);
+    List.iter (fun (n, v) -> Printf.bprintf b "f %s %s\n" n v) fps;
+    Printf.bprintf b "mode %s\n" (Sim.mode_to_string r.Sim.mode);
+    Result_lines.add b res;
     Buffer.contents b
 
-  exception Bad
-
   let parse digest text : Exec.result =
-    let lines = String.split_on_char '\n' text in
-    let cur = ref lines in
-    let next () =
-      match !cur with [] -> raise Bad | l :: tl -> cur := tl; l
-    in
-    let field key =
-      let l = next () in
-      let pl = String.length key + 1 in
-      if String.length l > pl && String.sub l 0 pl = key ^ " " then
-        String.sub l pl (String.length l - pl)
-      else raise Bad
-    in
-    let int key = try int_of_string (field key) with Failure _ -> raise Bad in
-    let flt key =
-      try Int64.float_of_bits (Int64.of_string (field key))
-      with Failure _ -> raise Bad
-    in
-    if field "lfres1" <> Sim.version_salt then raise Bad;
-    if field "digest" <> digest then raise Bad;
+    let cur = Result_lines.cursor text in
+    let field = Result_lines.field cur in
+    let bad what = raise (Result_lines.Malformed what) in
+    if field "lfres1" <> Sim.version_salt then bad "stale salt";
+    if field "digest" <> digest then bad "digest";
     (* fp lines are metadata for stats: a digest match already implies
        the fingerprints match (they are folded into the digest), so the
        values are consumed, not checked. *)
-    let nfps = int "fps" in
-    if nfps < 0 || nfps > 64 then raise Bad;
+    let nfps = Result_lines.int cur "fps" in
+    if nfps < 0 || nfps > 64 then bad "fingerprint count";
     for _ = 1 to nfps do ignore (field "f") done;
-    if Result.is_error (Sim.mode_of_string (field "mode")) then raise Bad;
-    let cycles = flt "cycles" in
-    let barrier_cycles = flt "barrier" in
-    let nphases = int "phases" in
-    if nphases < 0 || nphases > 1_000_000 then raise Bad;
-    let phase_cycles = Array.init nphases (fun _ -> flt "p") in
-    let total_refs = int "refs" in
-    let total_misses = int "misses" in
-    let cold_misses = int "cold" in
-    let tlb_misses = int "tlb" in
-    let nprocs = int "procs" in
-    if nprocs < 0 || nprocs > 1_000_000 then raise Bad;
-    let proc_misses = Array.init nprocs (fun _ -> int "m") in
-    if next () <> "end" then raise Bad;
-    {
-      Exec.cycles;
-      phase_cycles;
-      barrier_cycles;
-      total_refs;
-      total_misses;
-      cold_misses;
-      tlb_misses;
-      proc_misses;
-    }
+    if Result.is_error (Sim.mode_of_string (field "mode")) then bad "mode";
+    Result_lines.read cur
 
   let read_file p =
     let ic = open_in_bin p in
@@ -159,7 +182,7 @@ module Store = struct
     let res =
       match read_file (path t digest) with
       | exception _ -> None
-      | text -> ( try Some (parse digest text) with Bad | _ -> None)
+      | text -> ( try Some (parse digest text) with _ -> None)
     in
     Mutex.lock t.mu;
     t.lookups <- t.lookups + 1;

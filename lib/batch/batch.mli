@@ -25,6 +25,34 @@
 module Sim = Lf_machine.Sim
 module Exec = Lf_machine.Exec
 
+(** {1 The result codec} *)
+
+(** The line codec of an {!Lf_machine.Exec.result}, shared by store
+    entries and lf_serve's result frames: one ["key value"] line per
+    observable, from ["cycles"] to ["end"], floats as the decimal
+    rendering of their IEEE-754 bits so the round trip is bit-exact.
+    Each user writes its own header lines first and reads them back
+    through the same cursor, so a text is split once and read in one
+    pass. *)
+module Result_lines : sig
+  exception Malformed of string
+  (** What was wrong, e.g. ["expected field cycles"]. *)
+
+  val add : Buffer.t -> Exec.result -> unit
+  (** Append the body lines of a result, ["end"] included. *)
+
+  type cursor
+
+  val cursor : string -> cursor
+  (** The lines of a text, read from the first. *)
+
+  val next : cursor -> string
+  (** The next line; {!Malformed} past the last. *)
+
+  val read : cursor -> Exec.result
+  (** The body lines, ["end"] included, as written by {!add}. *)
+end
+
 (** {1 The persistent store} *)
 
 module Store : sig

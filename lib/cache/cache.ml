@@ -9,12 +9,12 @@
 
    - the scalar tier ([access], [access_classified]) consumes one byte
      address per call;
-   - the run tier ([access_run], [access_run_classified], [hit_run],
-     [repeat_run]) consumes whole strided segments, coalescing
-     consecutive accesses that fall in one cache line and updating
-     counters, the clock and the LRU stamps in closed form to exactly
-     the values the scalar loop would produce (see exec.ml / DESIGN
-     §6b for the argument).
+   - the run tier ([hit_run], [repeat_run]) fast-forwards [m] lockstep
+     iterations over [k] addresses once the engine has proven them
+     steady, updating counters, the clock and the LRU stamps (or, on a
+     direct-mapped instance, the tags) in closed form to exactly the
+     values the scalar loop would produce (see exec.ml / DESIGN §6b for
+     the argument).
 
    Only instances with several ways per set keep LRU stamps: a
    direct-mapped set's one way is always its victim, so a stamp there
@@ -137,7 +137,7 @@ let reset t =
 
 (* ------------------------------------------------------------------ *)
 (* Shared probe/victim core.  Every access variant — scalar,
-   classified, run-compressed — is built from these three, so their
+   classified, closed-form run — is built from these three, so their
    state transitions cannot drift apart.                               *)
 
 (* Way holding [line_addr] in the set starting at [base], or -1: one
@@ -245,108 +245,7 @@ let access_classified t addr =
     { cl_hit = true; cl_cold = false; cl_line = line_addr; cl_evicted = -1 }
 
 (* ------------------------------------------------------------------ *)
-(* Run tier: strided segments at cache-line granularity                *)
-
-(* Number of leading accesses of the segment [addr, addr+stride, ...]
-   that fall in [addr]'s cache line (>= 1; [n] caps it).  Line
-   boundaries are power-of-two aligned, so the count follows from the
-   offset within the line. *)
-let[@inline] same_line_count t addr stride n =
-  if stride = 0 then n
-  else
-    let off = addr land (t.config.line - 1) in
-    let c =
-      if stride > 0 then 1 + ((t.config.line - 1 - off) / stride)
-      else 1 + (off / -stride)
-    in
-    if c < n then c else n
-
-(* Closed-form tail of a same-line coalesced group: after the group's
-   first access the line is resident and nothing else intervenes, so
-   the remaining [c] accesses are hits; the scalar loop would advance
-   the clock by [c], add [c] hits, and leave the line's stamp at the
-   final clock value. *)
-let[@inline] coalesce_hits t base w c =
-  if c > 0 then begin
-    t.clock <- t.clock + c;
-    t.hits <- t.hits + c;
-    stamp t (base + w) t.clock
-  end
-
-(* [access_run t ~addr ~stride ~n] touches the [n] byte addresses
-   [addr + i*stride]: the address stream of one affine reference over
-   one innermost-loop segment.  Exactly equivalent to [n] calls of
-   [access]; consecutive same-line accesses are coalesced, stepping
-   line by line when the stride spans lines. *)
-let access_run t ~addr ~stride ~n =
-  if t.config.assoc = 1 then begin
-    (* direct-mapped specialisation (the Convex preset): the probe is a
-       single compare and the victim is the only way *)
-    let addr = ref addr and left = ref n in
-    while !left > 0 do
-      let a = !addr in
-      let c = same_line_count t a stride !left in
-      let line_addr = a lsr t.line_shift in
-      let set = set_of t line_addr in
-      t.clock <- t.clock + 1;
-      if Array.unsafe_get t.tags set = line_addr then t.hits <- t.hits + 1
-      else begin
-        t.misses <- t.misses + 1;
-        if not (seen_mark t line_addr) then
-          t.cold_misses <- t.cold_misses + 1;
-        t.tags.(set) <- line_addr
-      end;
-      coalesce_hits t set 0 (c - 1);
-      addr := a + (stride * c);
-      left := !left - c
-    done
-  end
-  else begin
-    let addr = ref addr and left = ref n in
-    while !left > 0 do
-      let a = !addr in
-      let c = same_line_count t a stride !left in
-      let line_addr = a lsr t.line_shift in
-      let set = set_of t line_addr in
-      let base = set * t.config.assoc in
-      t.clock <- t.clock + 1;
-      (match find_way t base line_addr with
-      | -1 ->
-        t.misses <- t.misses + 1;
-        if not (seen_mark t line_addr) then
-          t.cold_misses <- t.cold_misses + 1;
-        ignore (fill_victim t base line_addr);
-        (* the filled way is the one now holding the line *)
-        let w = find_way t base line_addr in
-        coalesce_hits t base w (c - 1)
-      | w ->
-        t.hits <- t.hits + 1;
-        t.stamps.(base + w) <- t.clock;
-        coalesce_hits t base w (c - 1));
-      addr := a + (stride * c);
-      left := !left - c
-    done
-  end
-
-(* [access_run_classified] is [access_run] reporting one [classified]
-   per line group (its first access) plus the count of coalesced
-   trailing hits, so an observability probe can attribute the whole
-   segment without per-access calls. *)
-let access_run_classified t ~addr ~stride ~n ~f =
-  let addr = ref addr and left = ref n in
-  while !left > 0 do
-    let a = !addr in
-    let c = same_line_count t a stride !left in
-    let cl = access_classified t a in
-    let line_addr = cl.cl_line in
-    let set = set_of t line_addr in
-    let base = set * t.config.assoc in
-    let w = find_way t base line_addr in
-    coalesce_hits t base w (c - 1);
-    f cl (c - 1);
-    addr := a + (stride * c);
-    left := !left - c
-  done
+(* Run tier: closed forms for lockstep iterations                      *)
 
 (* [hit_run t ~addrs ~k ~m]: closed form for [m] lockstep iterations
    over the [k] resident lines of [addrs.(0..k-1)], all hitting — the

@@ -7,10 +7,11 @@
 
     Two access tiers share one probe/victim core: the scalar tier
     ([access], [access_classified]) consumes one byte address per call,
-    and the run tier ([access_run], [hit_run], [repeat_run]) consumes
-    whole strided segments, updating counters, the LRU clock and the
-    stamps in closed form to exactly the values the scalar loop would
-    produce (DESIGN §6b).
+    and the run tier ([hit_run], [repeat_run]) fast-forwards lockstep
+    iterations over a fixed tuple of addresses that the caller has
+    proven steady, updating counters, the LRU clock and the stamps in
+    closed form to exactly the values the scalar loop would produce
+    (DESIGN §6b).
 
     Only shapes with several ways per set keep LRU stamps.  A
     direct-mapped instance (the Convex preset) holds its tags alone:
@@ -92,22 +93,6 @@ val access_classified : t -> int -> classified
 (** Exactly [access], with the outcome reported for observability
     (hit/cold classification, displaced line).  State transitions and
     statistics are identical to [access]. *)
-
-val access_run : t -> addr:int -> stride:int -> n:int -> unit
-(** [access_run t ~addr ~stride ~n] touches the [n] byte addresses
-    [addr + i*stride] for [i = 0..n-1] — one affine reference over one
-    innermost-loop segment.  Bit-identical to [n] calls of [access]:
-    consecutive accesses falling in one cache line are coalesced (after
-    the group's first access the rest are provably hits), stepping line
-    by line when the stride spans lines, with a specialised inner loop
-    for direct-mapped geometry. *)
-
-val access_run_classified :
-  t -> addr:int -> stride:int -> n:int -> f:(classified -> int -> unit) -> unit
-(** [access_run] reporting to [f] one [classified] per line group (the
-    group's first access) together with the number of coalesced
-    trailing hits in that group, so a sink can attribute the whole
-    segment.  State and statistics identical to [access_run]. *)
 
 val hit_run : t -> addrs:int array -> k:int -> m:int -> unit
 (** [hit_run t ~addrs ~k ~m]: closed form for [m] lockstep iterations

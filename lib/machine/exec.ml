@@ -348,6 +348,11 @@ let all_in_bounds (refs : cref array) vals =
 
 type cstmt = {
   cguard : (int * int * int) array;  (* (level index, lo, hi) *)
+  (* [cguard] split for the run-compressed row replay: the conjuncts on
+     outer levels, and the interval the innermost-level ones allow *)
+  couter : (int * int * int) array;
+  cilo : int;
+  cihi : int;
   ctrace : cref array;
       (* address stream of one instance: rhs reads in evaluation order,
          then the lhs write *)
@@ -364,13 +369,19 @@ let compile_stmts layout decls (n : Ir.nest) =
     in
     go 0
   in
+  let iv = Array.length vars - 1 in
   Array.of_list
     (List.map
        (fun (s : Ir.stmt) ->
+         let guard =
+           List.map (fun (v, lo, hi) -> (var_index v, lo, hi)) s.guard
+         in
+         let inner, outer = List.partition (fun (v, _, _) -> v = iv) guard in
          {
-           cguard =
-             Array.of_list
-               (List.map (fun (v, lo, hi) -> (var_index v, lo, hi)) s.guard);
+           cguard = Array.of_list guard;
+           couter = Array.of_list outer;
+           cilo = List.fold_left (fun m (_, lo, _) -> max m lo) min_int inner;
+           cihi = List.fold_left (fun m (_, _, hi) -> min m hi) max_int inner;
            ctrace =
              Array.of_list
                (List.map
@@ -436,18 +447,17 @@ let exec_stmts_trace ctx vals (stmts : cstmt array) =
 (* ------------------------------------------------------------------ *)
 (* Run-compressed execution: line-granular address-stream batching     *)
 
-(* [Run_compressed] walks boxes like the trace engine but treats the
-   innermost loop as strided runs instead of iterating it.  The sweep
-   is cut into {e segments} on which the active statement set is
-   constant (guard intervals only open or close at their endpoints),
-   each segment's references become (start, byte stride, count)
-   triples, and segments advance in {e blocks} — the iterations before
-   any reference crosses a cache-line boundary, within which every
-   reference stays on one line and one page.  Inside a block the first
-   iteration is simulated access-by-access; as soon as an iteration is
-   proven steady its remainder is fast-forwarded in closed form
-   (Cache.hit_run / Cache.repeat_run).  See DESIGN §6b for the
-   exactness argument. *)
+(* [Run_compressed] replays each in-bounds innermost row as strided
+   runs instead of iterating it.  The row is cut into {e segments} on
+   which the active statement set is constant (guard intervals only
+   open or close at their endpoints), each segment's references become
+   (start, byte stride, count) triples, and segments advance in
+   {e blocks} — the iterations before any reference crosses a
+   cache-line boundary, within which every reference stays on one line
+   and one page.  Inside a block the first iteration is simulated
+   access-by-access; as soon as an iteration is proven steady its
+   remainder is fast-forwarded in closed form (Cache.hit_run /
+   Cache.repeat_run).  See DESIGN §6b for the exactness argument. *)
 
 (* One segment's references, flattened across its active statements in
    execution order (per statement: rhs reads in evaluation order, then
@@ -471,10 +481,11 @@ let make_seg refs vals =
     g_cross = Array.make k false;
   }
 
-(* Iterations until some reference leaves its current line (or page:
-   [lmask] is min(cache line, TLB line) - 1 and both are powers of two,
-   so staying inside the smaller granule implies staying inside both),
-   capped at [left]. *)
+(* Iterations until some reference leaves its current aligned granule
+   of [lmask + 1] bytes, capped at [left].  [run_segment] calls it with
+   the TLB page mask to cut page blocks and with the cache line mask to
+   cut each page block into line blocks; both sizes are powers of
+   two. *)
 let block_size g lmask left =
   let b = ref left in
   let k = Array.length g.g_refs in
@@ -581,97 +592,82 @@ let ff_repeat ctx g m =
     done);
   advance g m
 
-(* A single-reference segment needs no lockstep: the whole run feeds
-   [Cache.access_run], which coalesces line (and, for the TLB, page)
-   groups internally. *)
-let run_single ctx (cr : cref) ~addr ~stride ~n =
-  (match ctx.probe with
-  | None -> Cache.access_run ctx.cache ~addr ~stride ~n
-  | Some p ->
-    Cache.access_run_classified ctx.cache ~addr ~stride ~n ~f:(fun cl trailing ->
-        ignore
-          (Obs.record_access p ~aid:cr.aid ~line:cl.Cache.cl_line
-             ~hit:cl.Cache.cl_hit ~cold:cl.Cache.cl_cold
-             ~evicted:cl.Cache.cl_evicted);
-        if trailing > 0 then Obs.record_hit_run p ~aid:cr.aid ~n:trailing));
-  match ctx.tlb with
-  | None -> ()
-  | Some t -> (
-    match ctx.probe with
-    | None -> Cache.access_run t ~addr ~stride ~n
-    | Some p ->
-      let m0 = Cache.miss_count t in
-      Cache.access_run t ~addr ~stride ~n;
-      (* attribute the batch's TLB misses one by one; all belong to the
-         segment's only array *)
-      for _ = 1 to Cache.miss_count t - m0 do
-        Obs.record_tlb_miss p ~aid:cr.aid
-      done)
-
-let run_segment ctx lmask plmask assoc1 g n =
-  if Array.length g.g_refs = 1 then
-    run_single ctx g.g_refs.(0) ~addr:g.g_addrs.(0) ~stride:g.g_strides.(0) ~n
-  else begin
-    let k = Array.length g.g_refs in
-    let has_tlb = Option.is_some ctx.tlb in
-    let page_addrs = Array.make k 0 in
-    let left = ref n in
-    while !left > 0 do
-      (* page block: no reference crosses a TLB page inside it *)
-      let pb = if has_tlb then block_size g plmask !left else !left in
-      Array.blit g.g_addrs 0 page_addrs 0 k;
-      let tlb_steady = ref (not has_tlb) in
-      let tlb_pending = ref 0 in
-      let pleft = ref pb in
-      while !pleft > 0 do
-        (* cache block: no reference crosses a cache line inside it *)
-        let bsz = block_size g lmask !pleft in
-        (* scalar-simulate until the block remainder is provably steady *)
-        let done_ = ref 0 in
-        let stop = ref false in
-        while not !stop && !done_ < bsz do
-          let allhit = scalar_iter ctx g ~tlb_steady ~tlb_pending in
-          incr done_;
-          let m = bsz - !done_ in
-          if m > 0 && !tlb_steady then
-            if allhit then begin
-              ff_hits ctx g m;
-              tlb_pending := !tlb_pending + m;
-              done_ := bsz;
-              stop := true
-            end
-            else if assoc1 && !done_ >= 2 then begin
-              (* the iteration just captured ran from the direct-mapped
-                 fixed point (>= 1 full in-block iteration preceded it) *)
-              ff_repeat ctx g m;
-              tlb_pending := !tlb_pending + m;
-              done_ := bsz;
-              stop := true
-            end
-        done;
-        pleft := !pleft - bsz
+(* Run one segment of [n] iterations in lockstep, page block by page
+   block and, inside each, cache block by cache block. *)
+let run_segment ctx g n =
+  let k = Array.length g.g_refs in
+  let lmask = (Cache.config ctx.cache).Cache.line - 1 in
+  let assoc1 = (Cache.config ctx.cache).Cache.assoc = 1 in
+  let page_addrs = Array.make k 0 in
+  let left = ref n in
+  while !left > 0 do
+    (* page block: no reference crosses a TLB page inside it *)
+    let pb =
+      match ctx.tlb with
+      | None -> !left
+      | Some t -> block_size g ((Cache.config t).Cache.line - 1) !left
+    in
+    Array.blit g.g_addrs 0 page_addrs 0 k;
+    let tlb_steady = ref (Option.is_none ctx.tlb) in
+    let tlb_pending = ref 0 in
+    let pleft = ref pb in
+    while !pleft > 0 do
+      (* cache block: no reference crosses a cache line inside it *)
+      let bsz = block_size g lmask !pleft in
+      (* scalar-simulate until the block remainder is provably steady *)
+      let done_ = ref 0 in
+      let stop = ref false in
+      while not !stop && !done_ < bsz do
+        let allhit = scalar_iter ctx g ~tlb_steady ~tlb_pending in
+        incr done_;
+        let m = bsz - !done_ in
+        if m > 0 && !tlb_steady then
+          if allhit then begin
+            ff_hits ctx g m;
+            tlb_pending := !tlb_pending + m;
+            done_ := bsz;
+            stop := true
+          end
+          else if assoc1 && !done_ >= 2 then begin
+            (* the iteration just captured ran from the direct-mapped
+               fixed point (>= 1 full in-block iteration preceded it) *)
+            ff_repeat ctx g m;
+            tlb_pending := !tlb_pending + m;
+            done_ := bsz;
+            stop := true
+          end
       done;
-      (* settle the TLB accesses skipped since it went steady: all hits
-         on the page block's resident pages *)
-      (if !tlb_pending > 0 then
-         match ctx.tlb with
-         | None -> ()
-         | Some t -> Cache.hit_run t ~addrs:page_addrs ~k ~m:!tlb_pending);
-      left := !left - pb
-    done
-  end
+      pleft := !pleft - bsz
+    done;
+    (* settle the TLB accesses skipped since it went steady: all hits
+       on the page block's resident pages *)
+    (if !tlb_pending > 0 then
+       match ctx.tlb with
+       | None -> ()
+       | Some t -> Cache.hit_run t ~addrs:page_addrs ~k ~m:!tlb_pending);
+    left := !left - pb
+  done
 
-(* Cut the innermost sweep [lo, hi] into maximal segments on which the
-   set of inner-guard-active statements is constant, and run each.
-   [sel] holds the sweep-active statements (outer guards hold) with
-   their inner guard interval, pre-intersected with [lo, hi]. *)
-let sweep_segments ctx lmask plmask assoc1 stmts
-    (sel : (cstmt * int * int) list) vals iv lo hi =
+(* Run_compressed's replay of one in-bounds innermost row [lo, hi]: the
+   row is cut into maximal segments on which the set of active
+   statements is constant (a guard's innermost-variable interval only
+   opens or closes at its endpoints), and each runs in lockstep. *)
+let run_row ctx (c : cnest) vals iv lo hi =
+  (* the address streams of the statements whose outer-level conjuncts
+     hold on this row, each with its innermost interval cut to the row *)
+  let sel =
+    Array.fold_right
+      (fun (s : cstmt) acc ->
+        let glo = max lo s.cilo and ghi = min hi s.cihi in
+        if glo <= ghi && guard_holds s.couter vals then
+          (s.ctrace, glo, ghi) :: acc
+        else acc)
+      c.cstmts []
+  in
   let v = ref lo in
   while !v <= hi do
     let a = !v in
-    (* next endpoint where some statement's inner interval opens or
-       closes, i.e. the active set changes *)
+    (* next endpoint where some statement's interval opens or closes *)
     let e = ref (hi + 1) in
     List.iter
       (fun (_, glo, ghi) ->
@@ -680,95 +676,17 @@ let sweep_segments ctx lmask plmask assoc1 stmts
         end
         else if a <= ghi && ghi + 1 < !e then e := ghi + 1)
       sel;
-    let b = !e - 1 in
     let active =
       List.filter_map
-        (fun (s, glo, ghi) -> if a >= glo && a <= ghi then Some s else None)
+        (fun (tr, glo, ghi) -> if a >= glo && a <= ghi then Some tr else None)
         sel
     in
-    (match active with
-    | [] -> ()
-    | _ ->
-      let refs =
-        Array.concat (List.map (fun (s : cstmt) -> s.ctrace) active)
-      in
-      (* precheck subscript bounds at both endpoints (affine in the
-         sweep variable, so endpoint validity covers the interior);
-         on failure rerun this segment through the raising scalar walk
-         so a bad schedule fails at the identical iteration *)
+    if active <> [] then begin
       vals.(iv) <- a;
-      let ok = ref (Array.for_all (fun r -> ref_in_bounds r vals) refs) in
-      if !ok && b > a then begin
-        vals.(iv) <- b;
-        ok := Array.for_all (fun r -> ref_in_bounds r vals) refs
-      end;
-      if not !ok then
-        for w = a to b do
-          vals.(iv) <- w;
-          exec_stmts_trace ctx vals stmts
-        done
-      else begin
-        vals.(iv) <- a;
-        run_segment ctx lmask plmask assoc1 (make_seg refs vals) (b - a + 1)
-      end);
+      run_segment ctx (make_seg (Array.concat active) vals) (!e - a)
+    end;
     v := !e
   done
-
-(* Run_compressed's walk of one box: the outer levels point by point,
-   the innermost level as segments of strided runs. *)
-let walk_runs ctx (c : cnest) vals (b : Schedule.box) =
-  let stmts = c.cstmts in
-  let nd = Array.length vals in
-  if nd = 0 then exec_stmts_trace ctx vals stmts
-  else begin
-    let iv = nd - 1 in
-    let lo, hi = b.Schedule.ranges.(iv) in
-    let lmask = (Cache.config ctx.cache).Cache.line - 1 in
-    let plmask =
-      match ctx.tlb with
-      | None -> lmask
-      | Some t -> (Cache.config t).Cache.line - 1
-    in
-    let assoc1 = (Cache.config ctx.cache).Cache.assoc = 1 in
-    (* split each statement's guard: outer-variable conjuncts gate the
-       whole sweep, innermost-variable conjuncts become an interval *)
-    let split =
-      Array.map
-        (fun (s : cstmt) ->
-          let outer = ref [] and glo = ref lo and ghi = ref hi in
-          Array.iter
-            (fun ((v, l, h) as gd) ->
-              if v = iv then begin
-                if l > !glo then glo := l;
-                if h < !ghi then ghi := h
-              end
-              else outer := gd :: !outer)
-            s.cguard;
-          (s, Array.of_list (List.rev !outer), !glo, !ghi))
-        stmts
-    in
-    let rec go d =
-      if d = iv then begin
-        let sel =
-          Array.to_list split
-          |> List.filter_map (fun (s, outer, glo, ghi) ->
-                 if glo <= ghi && guard_holds outer vals then
-                   Some (s, glo, ghi)
-                 else None)
-        in
-        if sel <> [] then
-          sweep_segments ctx lmask plmask assoc1 stmts sel vals iv lo hi
-      end
-      else begin
-        let dlo, dhi = b.Schedule.ranges.(d) in
-        for v = dlo to dhi do
-          vals.(d) <- v;
-          go (d + 1)
-        done
-      end
-    in
-    go 0
-  end
 
 (* Issue the references [j0, j1) of [c.crefs] at their current
    addresses, each to the cache and then to the TLB.  The dispatch on
@@ -791,18 +709,15 @@ let issue ctx (c : cnest) addrs j0 j1 =
       access ctx c.crefs.(j).aid addrs.(j)
     done
 
-(* One innermost row [lo, hi] of a box, the outer levels fixed in
-   [vals], every reference of the nest known to be in bounds on it.
-   Each reference's address is located once, at [lo], and advanced by
-   its innermost byte stride per point; guards are still tested point
-   by point, and the accesses go out in the per-point walk's order. *)
-let replay_row ctx (c : cnest) addrs vals iv lo hi =
+(* Miss_only's replay of one in-bounds innermost row [lo, hi].  Each
+   reference's address is located once, at [lo], and advanced by its
+   innermost byte stride per point; guards are still tested point by
+   point, and the accesses go out in the per-point walk's order. *)
+let replay_row ctx (c : cnest) vals iv lo hi =
   let stmts = c.cstmts and first = c.cfirst and strides = c.cstrides in
-  let k = Array.length addrs in
   vals.(iv) <- lo;
-  for j = 0 to k - 1 do
-    addrs.(j) <- locate_addr c.crefs.(j) vals
-  done;
+  let addrs = Array.map (fun cr -> locate_addr cr vals) c.crefs in
+  let k = Array.length addrs in
   for w = lo to hi do
     vals.(iv) <- w;
     for s = 0 to Array.length stmts - 1 do
@@ -814,27 +729,26 @@ let replay_row ctx (c : cnest) addrs vals iv lo hi =
     done
   done
 
-(* Miss_only's walk of one box: the outer levels point by point, each
-   innermost row by [replay_row] when every reference of the nest is in
-   bounds at both ends of the row.  Subscripts are affine in the
-   innermost variable, so they are then in bounds all along it.  Other
-   rows (a bad schedule's, or one where only a guard keeps a reference
-   inside its array) and 0-d boxes take the raising per-point walk, so
-   a bad schedule fails at the same access with the same message. *)
-let walk_points ctx (c : cnest) vals (b : Schedule.box) =
+(* The walk of one box, shared by both tiers: the outer levels point by
+   point, each innermost row by the tier's [row] replay when every
+   reference of the nest is in bounds at both ends of the row.
+   Subscripts are affine in the innermost variable, so they are then in
+   bounds all along it.  Other rows (a bad schedule's, or one where only
+   a guard keeps a reference inside its array) and 0-d boxes take the
+   raising per-point walk, so a bad schedule fails at the same access
+   with the same message in either tier. *)
+let walk_box row ctx (c : cnest) vals (b : Schedule.box) =
   let nd = Array.length vals in
   if nd = 0 then exec_stmts_trace ctx vals c.cstmts
   else begin
     let iv = nd - 1 in
     let lo, hi = b.Schedule.ranges.(iv) in
-    let addrs = Array.make (Array.length c.crefs) 0 in
     let rec go d =
       if d = iv then begin
         vals.(iv) <- hi;
         let ok = all_in_bounds c.crefs vals in
         vals.(iv) <- lo;
-        if ok && all_in_bounds c.crefs vals then
-          replay_row ctx c addrs vals iv lo hi
+        if ok && all_in_bounds c.crefs vals then row ctx c vals iv lo hi
         else
           for w = lo to hi do
             vals.(iv) <- w;
@@ -855,7 +769,7 @@ let walk_points ctx (c : cnest) vals (b : Schedule.box) =
 (* ------------------------------------------------------------------ *)
 (* Running a schedule                                                  *)
 
-let exec_box walk compiled nest_arity ctx (b : Schedule.box) =
+let exec_box row compiled nest_arity ctx (b : Schedule.box) =
   let c : cnest = compiled.(b.Schedule.nest) in
   let vals = Array.make nest_arity.(b.Schedule.nest) 0 in
   let t0 = match ctx.probe with None -> 0.0 | Some _ -> ctx_cycles ctx in
@@ -863,7 +777,7 @@ let exec_box walk compiled nest_arity ctx (b : Schedule.box) =
   let iters = Schedule.box_iterations b in
   ctx.iters <- ctx.iters + iters;
   ctx.ops <- ctx.ops + (iters * Array.length c.cstmts);
-  walk ctx c vals b;
+  walk_box row ctx c vals b;
   match ctx.probe with
   | None -> ()
   | Some p ->
@@ -950,7 +864,7 @@ let run_opts o (req : Sim.request) =
   in
   let exec_one =
     exec_box
-      (match mode with Miss_only -> walk_points | Run_compressed -> walk_runs)
+      (match mode with Miss_only -> replay_row | Run_compressed -> run_row)
       compiled nest_arity
   in
   (* Cache replay across host domains: each simulated processor is

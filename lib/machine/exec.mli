@@ -49,16 +49,20 @@ type mode = Sim.mode =
           The counter oracle [Run_compressed] is tested against, and
           its exact fallback. *)
   | Run_compressed
-      (** batched line-granular replay: the iteration walker emits
-          per-reference [(start, byte stride, count)] runs instead of
-          individual addresses, and whole runs drive the caches at
-          cache-line granularity — consecutive same-line accesses
-          coalesce, steady iterations fast-forward in closed form
-          (all-hit blocks on any geometry; verbatim-repeat blocks on
-          direct-mapped geometry), with scalar fallback elsewhere.
-          Every observable is bit-identical to [Miss_only] — counters,
-          cycles, sink contents and event stream — only wall-clock
-          changes (DESIGN §6b).  The default engine. *)
+      (** batched line-granular replay over the same box walk as
+          [Miss_only]: each row that passes the bounds check is cut at
+          guard-interval endpoints into segments, each segment's
+          references become [(start, byte stride, count)] runs, and
+          the runs advance in lockstep blocks that stay on one cache
+          line and one TLB page.  Once an iteration of a block is
+          proven steady, the rest of the block fast-forwards in closed
+          form (all-hit blocks on any geometry; verbatim-repeat blocks
+          on direct-mapped geometry); other iterations run access by
+          access.  Rows that fail the check, and 0-d boxes, take
+          [Miss_only]'s per-point walk.  Every observable is
+          bit-identical to [Miss_only] — counters, cycles, sink
+          contents and event stream — only wall-clock changes
+          (DESIGN §6b).  The default engine. *)
 
 val proc0_misses : result -> int
 (** Misses of processor 0, the paper's "single processor during parallel

@@ -49,6 +49,37 @@ let miss_penalty m ~nprocs =
 let barrier_cost m ~nprocs =
   m.cost.barrier_base +. (m.cost.barrier_per_proc *. float_of_int nprocs)
 
+(* The data cache as the shape the cache-partitioned layout places
+   arrays for. *)
+let cache_shape m =
+  {
+    Lf_core.Partition.capacity = m.cache.Lf_cache.Cache.capacity;
+    line = m.cache.Lf_cache.Cache.line;
+    assoc = m.cache.Lf_cache.Cache.assoc;
+  }
+
+let partitioned_layout m (p : Lf_ir.Ir.program) =
+  Lf_core.Partition.cache_partitioned ~cache:(cache_shape m) p.Lf_ir.Ir.decls
+
+(* The strip-size rule of paper §3.4: one fused iteration touches one
+   inner "row" of each array, and a strip of such rows of every array
+   must fit in the array's cache partition. *)
+let strip_for m (p : Lf_ir.Ir.program) =
+  let decls = p.Lf_ir.Ir.decls in
+  let inner_bytes =
+    List.fold_left
+      (fun acc (d : Lf_ir.Ir.decl) ->
+        match d.extents with
+        | [] -> acc
+        | _ :: rest -> max acc (List.fold_left ( * ) 8 rest))
+      8 decls
+  in
+  let sp =
+    Lf_core.Partition.partition_size ~cache:(cache_shape m)
+      ~narrays:(List.length decls)
+  in
+  max 2 ((sp / inner_bytes) - 2)
+
 (* Observable-behaviour fingerprint of the machine model AND of the
    timed executor built on top of it (Exec sits above Sim in the module
    graph, so its version lives here where sim.ml can read it).  Bump on

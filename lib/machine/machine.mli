@@ -32,6 +32,17 @@ val remote_fraction : config -> nprocs:int -> float
 val miss_penalty : config -> nprocs:int -> float
 val barrier_cost : config -> nprocs:int -> float
 
+val cache_shape : config -> Lf_core.Partition.cache_shape
+(** The data cache's geometry as a partitioning shape. *)
+
+val partitioned_layout : config -> Lf_ir.Ir.program -> Lf_core.Partition.layout
+(** The cache-partitioned placement (Figure 19) of the program's arrays
+    for this machine's data cache. *)
+
+val strip_for : config -> Lf_ir.Ir.program -> int
+(** The §3.4 rule of thumb: the largest strip for which one strip of
+    every array fits in its cache partition (never below 2). *)
+
 val version : string
 (** Fingerprint of the machine cost model and the timed executor
     ({!Exec}) built on it, folded into every {!Sim.digest}.  Bump on

@@ -1,36 +1,11 @@
 (* Shared sweep-mix construction (see sweep.mli). *)
 
 module Ir = Lf_ir.Ir
-module Partition = Lf_core.Partition
-module Cache = Lf_cache.Cache
 module Machine = Lf_machine.Machine
 module Sim = Lf_machine.Sim
 
-let cache_shape (m : Machine.config) =
-  {
-    Partition.capacity = m.Machine.cache.Cache.capacity;
-    line = m.Machine.cache.Cache.line;
-    assoc = m.Machine.cache.Cache.assoc;
-  }
-
-let partitioned_layout m (p : Ir.program) =
-  Partition.cache_partitioned ~cache:(cache_shape m) p.Ir.decls
-
-(* Strip-mining factor sized so one strip of every array fits in its
-   cache partition (paper §3.4): per fused iteration each array touches
-   one "row" of inner elements. *)
-let strip_for m (p : Ir.program) =
-  let narrays = List.length p.Ir.decls in
-  let inner_bytes =
-    List.fold_left
-      (fun acc (d : Ir.decl) ->
-        match d.extents with
-        | [] -> acc
-        | _ :: rest -> max acc (List.fold_left ( * ) 8 rest))
-      8 p.Ir.decls
-  in
-  let sp = Partition.partition_size ~cache:(cache_shape m) ~narrays in
-  max 2 ((sp / inner_bytes) - 2)
+let partitioned_layout = Machine.partitioned_layout
+let strip_for = Machine.strip_for
 
 let kernels : (string * (int -> Ir.program)) list =
   [

@@ -7,16 +7,12 @@
     [lfc sweep]'s enqueue set — so "the sweep" is the same request set
     everywhere and digests agree across processes by construction. *)
 
-val cache_shape : Lf_machine.Machine.config -> Lf_core.Partition.cache_shape
-(** The machine's cache geometry as a partitioning shape. *)
-
 val partitioned_layout :
   Lf_machine.Machine.config -> Lf_ir.Ir.program -> Lf_core.Partition.layout
-(** Cache-partitioned placement (Figure 19) for this machine. *)
+(** {!Lf_machine.Machine.partitioned_layout}. *)
 
 val strip_for : Lf_machine.Machine.config -> Lf_ir.Ir.program -> int
-(** Strip-mining factor sized so one strip of every array fits in its
-    cache partition (§3.4). *)
+(** {!Lf_machine.Machine.strip_for}. *)
 
 val kernels : (string * (int -> Lf_ir.Ir.program)) list
 (** Name → constructor (problem size [n]) for every sweep kernel. *)

@@ -90,17 +90,7 @@ let schedule ?grid ~nprocs (st : Script.state) =
 
 let layout ~machine (st : Script.state) =
   if not st.Script.partitioned then None
-  else
-    let c = machine.Machine.cache in
-    Some
-      (Partition.cache_partitioned
-         ~cache:
-           {
-             Partition.capacity = c.Lf_cache.Cache.capacity;
-             line = c.Lf_cache.Cache.line;
-             assoc = c.Lf_cache.Cache.assoc;
-           }
-         st.Script.prog.Ir.decls)
+  else Some (Machine.partitioned_layout machine st.Script.prog)
 
 let request ?steps ?mode ~machine ~nprocs (st : Script.state) =
   let p = st.Script.prog in

@@ -276,86 +276,24 @@ let request_of_canonical text =
     else Error "request: payload is not the canonical form of its request"
 
 (* ------------------------------------------------------------------ *)
-(* Result codec: the store's line discipline (floats as IEEE bits).    *)
+(* Result codec: the store's body lines under the [lfwire1] header.    *)
+
+module Result_lines = Lf_batch.Batch.Result_lines
 
 let result_to_string (res : Exec.result) =
   let b = Buffer.create 256 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string b s;
-        Buffer.add_char b '\n')
-      fmt
-  in
-  let fbits x = Int64.to_string (Int64.bits_of_float x) in
-  line "lfwire1";
-  line "cycles %s" (fbits res.Exec.cycles);
-  line "barrier %s" (fbits res.Exec.barrier_cycles);
-  line "phases %d" (Array.length res.Exec.phase_cycles);
-  Array.iter (fun c -> line "p %s" (fbits c)) res.Exec.phase_cycles;
-  line "refs %d" res.Exec.total_refs;
-  line "misses %d" res.Exec.total_misses;
-  line "cold %d" res.Exec.cold_misses;
-  line "tlb %d" res.Exec.tlb_misses;
-  line "procs %d" (Array.length res.Exec.proc_misses);
-  Array.iter (fun m -> line "m %d" m) res.Exec.proc_misses;
-  line "end";
+  Buffer.add_string b "lfwire1\n";
+  Result_lines.add b res;
   Buffer.contents b
 
 let result_of_string text : (Exec.result, string) result =
+  let cur = Result_lines.cursor text in
   match
-    let lines = String.split_on_char '\n' text in
-    let cur = ref lines in
-    let next () =
-      match !cur with
-      | [] -> fail "result: truncated"
-      | l :: tl ->
-        cur := tl;
-        l
-    in
-    let field key =
-      let l = next () in
-      let pl = String.length key + 1 in
-      if String.length l > pl && String.sub l 0 pl = key ^ " " then
-        String.sub l pl (String.length l - pl)
-      else fail "result: expected field %s" key
-    in
-    let int key =
-      match int_of_string_opt (field key) with
-      | Some n -> n
-      | None -> fail "result: bad integer in %s" key
-    in
-    let flt key =
-      match Int64.of_string_opt (field key) with
-      | Some bits -> Int64.float_of_bits bits
-      | None -> fail "result: bad float bits in %s" key
-    in
-    if next () <> "lfwire1" then fail "result: bad header";
-    let cycles = flt "cycles" in
-    let barrier_cycles = flt "barrier" in
-    let nphases = int "phases" in
-    if nphases < 0 || nphases > max_count then fail "result: phase count";
-    let phase_cycles = Array.init nphases (fun _ -> flt "p") in
-    let total_refs = int "refs" in
-    let total_misses = int "misses" in
-    let cold_misses = int "cold" in
-    let tlb_misses = int "tlb" in
-    let nprocs = int "procs" in
-    if nprocs < 0 || nprocs > max_count then fail "result: proc count";
-    let proc_misses = Array.init nprocs (fun _ -> int "m") in
-    if next () <> "end" then fail "result: missing end";
-    {
-      Exec.cycles;
-      phase_cycles;
-      barrier_cycles;
-      total_refs;
-      total_misses;
-      cold_misses;
-      tlb_misses;
-      proc_misses;
-    }
+    if Result_lines.next cur <> "lfwire1" then
+      raise (Result_lines.Malformed "bad header");
+    Result_lines.read cur
   with
-  | exception Parse_fail m -> Error m
+  | exception Result_lines.Malformed m -> Error ("result: " ^ m)
   | r -> Ok r
 
 (* ------------------------------------------------------------------ *)

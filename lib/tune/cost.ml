@@ -53,7 +53,7 @@ let conflict_factor ?(calibration = []) ~machine (cand : Space.candidate) =
   match List.assoc_opt (Space.layout_to_string cand.Space.layout) calibration with
   | Some f -> f
   | None -> (
-    let assoc = (Space.cache_shape machine).Lf_core.Partition.assoc in
+    let assoc = machine.Machine.cache.Cache.assoc in
     match cand.Space.layout with
     | Space.Partitioned { assoc_aware = true } -> 1.0
     | Space.Partitioned { assoc_aware = false } ->

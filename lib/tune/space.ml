@@ -29,37 +29,14 @@ type layout_spec =
 
 type candidate = { variant : variant; layout : layout_spec }
 
-let cache_shape (m : Machine.config) =
-  {
-    Partition.capacity = m.Machine.cache.Cache.capacity;
-    line = m.Machine.cache.Cache.line;
-    assoc = m.Machine.cache.Cache.assoc;
-  }
-
-(* One fused iteration touches one inner "row" of each array; the strip
-   must keep [strip] such rows of every array within its partition
-   (paper §3.4; same rule as the bench harness). *)
-let rule_strip ~machine (p : Ir.program) =
-  let narrays = max 1 (List.length p.Ir.decls) in
-  let inner_bytes =
-    List.fold_left
-      (fun acc (d : Ir.decl) ->
-        match d.extents with
-        | [] -> acc
-        | _ :: rest -> max acc (List.fold_left ( * ) 8 rest))
-      8 p.Ir.decls
-  in
-  let sp = Partition.partition_size ~cache:(cache_shape machine) ~narrays in
-  max 2 ((sp / inner_bytes) - 2)
-
 let paper_default ~machine p =
   {
-    variant = Fused { clustered = false; strip = rule_strip ~machine p };
+    variant = Fused { clustered = false; strip = Machine.strip_for machine p };
     layout = Partitioned { assoc_aware = true };
   }
 
 let strips ?(sweep = true) ~machine p =
-  let rule = rule_strip ~machine p in
+  let rule = Machine.strip_for machine p in
   if not sweep then [ rule ]
   else
     let around =
@@ -70,13 +47,13 @@ let strips ?(sweep = true) ~machine p =
          (List.filter (fun s -> s >= 2 && s <> rule) around)
 
 let layouts ~machine =
-  let assoc = (cache_shape machine).Partition.assoc in
+  let assoc = machine.Machine.cache.Cache.assoc in
   [ Partitioned { assoc_aware = true } ]
   @ (if assoc > 1 then [ Partitioned { assoc_aware = false } ] else [])
   @ [ Contiguous; Padded 1; Padded 9 ]
 
 let variants ?sweep ~machine p =
-  let rule = rule_strip ~machine p in
+  let rule = Machine.strip_for machine p in
   let fused_strips =
     List.map
       (fun strip -> Fused { clustered = false; strip })
@@ -121,7 +98,7 @@ let build ?(depth = 1) ~machine ~nprocs (p : Ir.program) cand =
       | Contiguous -> Partition.contiguous decls
       | Padded pad -> Partition.padded ~pad decls
       | Partitioned { assoc_aware } ->
-        let shape = cache_shape machine in
+        let shape = Machine.cache_shape machine in
         let shape =
           if assoc_aware then shape else { shape with Partition.assoc = 1 }
         in

@@ -28,12 +28,6 @@ type layout_spec =
 
 type candidate = { variant : variant; layout : layout_spec }
 
-val cache_shape : Lf_machine.Machine.config -> Lf_core.Partition.cache_shape
-
-val rule_strip : machine:Lf_machine.Machine.config -> Lf_ir.Ir.program -> int
-(** The §3.4 rule of thumb: the largest strip for which one strip of
-    every array fits in its cache partition (never below 2). *)
-
 val paper_default :
   machine:Lf_machine.Machine.config -> Lf_ir.Ir.program -> candidate
 (** What the paper's evaluation uses everywhere: plain shift-and-peel

@@ -153,12 +153,6 @@ let prop_builders_equal_explicit ~machine name =
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
 
-(* A scratch store in a fresh temp directory. *)
-let scratch_store () =
-  let path = Filename.temp_file "lf_store_test" "" in
-  Sys.remove path;
-  Store.open_ ~dir:path ()
-
 (* Batch options persisting into [store]'s root. *)
 let in_store store =
   Run_opts.make ~store:(Run_opts.Store_in (Some (Store.dir store))) ()
@@ -174,7 +168,8 @@ let entry_path store req =
 (* Round trip: what lookup returns is bit-identical to what add was
    given — floats included (serialised via their IEEE-754 bits). *)
 let test_store_roundtrip () =
-  let store = scratch_store () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = Store.open_ ~dir () in
   let req = sample_request () in
   Alcotest.(check bool) "miss before add" true (Store.lookup store req = None);
   let res = Exec.run_opts Exec.default_opts req in
@@ -207,7 +202,8 @@ let prop_store_roundtrip =
       | exception Schedule.Illegal _ -> true
       | exception Invalid_argument _ -> true
       | res -> (
-        let store = scratch_store () in
+        Tutil.with_temp_dir @@ fun dir ->
+        let store = Store.open_ ~dir () in
         let req = req () in
         if not (Store.add store req res) then
           Test.fail_report "add refused a request";
@@ -216,13 +212,13 @@ let prop_store_roundtrip =
         | Some got ->
           if not (results_identical res got) then
             Test.fail_report "round trip not bit-identical";
-          ignore (Store.clear store);
           true))
 
 (* Corrupt entries are misses, never crashes: truncation, garbage,
    bit flips, a stale version salt, an empty file. *)
 let test_store_corruption () =
-  let store = scratch_store () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = Store.open_ ~dir () in
   let req = sample_request () in
   let res = Exec.run_opts Exec.default_opts req in
   let path = entry_path store req in
@@ -283,13 +279,13 @@ let test_store_corruption () =
   | Some got ->
     Alcotest.(check bool) "restored entry hits" true
       (results_identical res got)
-  | None -> Alcotest.fail "restored entry missed");
-  ignore (Store.clear store)
+  | None -> Alcotest.fail "restored entry missed")
 
 (* Concurrent writers of the same digest: atomic rename means no crash
    and a readable entry afterwards. *)
 let test_store_concurrent_writers () =
-  let store = scratch_store () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = Store.open_ ~dir () in
   let req = sample_request ~n:32 () in
   let res = Exec.run_opts Exec.default_opts req in
   let writers =
@@ -308,11 +304,11 @@ let test_store_concurrent_writers () =
       (results_identical res got)
   | None -> Alcotest.fail "entry missing after racing writers");
   let st = Store.stats store in
-  Alcotest.(check int) "exactly one entry" 1 st.Store.entries;
-  ignore (Store.clear store)
+  Alcotest.(check int) "exactly one entry" 1 st.Store.entries
 
 let test_store_stats_gc_clear () =
-  let store = scratch_store () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = Store.open_ ~dir () in
   let reqs =
     List.map (fun n -> sample_request ~n ()) [ 24; 28; 32; 36; 40 ]
   in
@@ -337,7 +333,8 @@ let test_store_stats_gc_clear () =
 (* Batch.run_with                                                      *)
 
 let test_batch_dedup_and_hits () =
-  let store = scratch_store () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = Store.open_ ~dir () in
   let r1 = sample_request ~n:24 () in
   let r2 = sample_request ~n:28 () in
   (* r1 appears three times: once computed, twice deduplicated *)
@@ -364,8 +361,7 @@ let test_batch_dedup_and_hits () =
     outcomes2;
   (* --cold forces recomputation but still counts as computed *)
   let _, summary3 = Batch.run_with (Run_opts.cold (in_store store)) [ r1 ] in
-  Alcotest.(check int) "cold recomputes" 1 summary3.Batch.computed;
-  ignore (Store.clear store)
+  Alcotest.(check int) "cold recomputes" 1 summary3.Batch.computed
 
 let test_batch_parallel_identical () =
   let reqs =
@@ -422,7 +418,8 @@ let test_batch_timeout () =
   | _ -> Alcotest.fail "zero budget did not time out"
 
 let test_run_one_sink_always_computes () =
-  let store = scratch_store () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = Store.open_ ~dir () in
   let req = sample_request ~n:24 () in
   let sink = Lf_obs.Obs.create () in
   let c0 = Batch.computed_count () in
@@ -439,8 +436,7 @@ let test_run_one_sink_always_computes () =
   let sink2 = Lf_obs.Obs.create () in
   ignore (Batch.run_one_with (Run_opts.with_sink sink2 (in_store store)) req);
   Alcotest.(check bool) "sinked runs always compute" true
-    (Batch.computed_count () >= c0 + 2);
-  ignore (Store.clear store)
+    (Batch.computed_count () >= c0 + 2)
 
 (* ------------------------------------------------------------------ *)
 (* Digest stability                                                    *)
@@ -566,8 +562,9 @@ let test_fingerprint_override_digests () =
    after an override the old entries read as stale, per-pair counts
    split accordingly. *)
 let test_fingerprint_stats () =
+  Tutil.with_temp_dir @@ fun dir ->
   Sim.Fingerprint.clear_overrides ();
-  let store = scratch_store () in
+  let store = Store.open_ ~dir () in
   let add req =
     ignore (Store.add store req (Exec.run_opts Exec.default_opts req))
   in
@@ -590,8 +587,7 @@ let test_fingerprint_stats () =
   Alcotest.(check bool) "both derive versions counted" true
     (List.assoc_opt ("derive", "stats-bump") st.Store.fp_counts = Some 1
     && List.assoc_opt ("derive", "lf-derive-1") st.Store.fp_counts = Some 2);
-  Sim.Fingerprint.clear_overrides ();
-  ignore (Store.clear store)
+  Sim.Fingerprint.clear_overrides ()
 
 let test_mode_strings () =
   List.iter

@@ -151,11 +151,6 @@ let probe_equal label a b ~lines =
   done;
   stats_equal (label ^ " post-probe") a b
 
-let scalar_run c ~addr ~stride ~n =
-  for i = 0 to n - 1 do
-    ignore (Cache.access c (addr + (i * stride)))
-  done
-
 let run_geometries =
   [
     ("dm", small);
@@ -172,49 +167,6 @@ let run_geometries =
    and way index meet lines on both sides of their range while the
    scalar side keeps the hash table and the scan. *)
 let with_footprint cfg = Cache.create ~footprint:(4 * cfg.Cache.capacity) cfg
-
-let test_access_run_equiv () =
-  List.iter
-    (fun (gname, cfg) ->
-      let batched = with_footprint cfg and scalar = Cache.create cfg in
-      (* deterministic mix of strides and lengths, positive and negative,
-         same-line dwell and line-crossing, plus conflict-heavy strides *)
-      let cases =
-        [
-          (0, 8, 200);
-          (40, 4, 100);
-          (8192, -8, 300);
-          (3000, 24, 77);
-          (cfg.Cache.capacity, 64, 50);
-          (64, cfg.Cache.capacity, 9);
-          (* whole-cache conflict loop *)
-          (128, 0, 1);
-          (5, 1, 130);
-        ]
-      in
-      List.iter
-        (fun (addr, stride, n) ->
-          Cache.access_run batched ~addr ~stride ~n;
-          scalar_run scalar ~addr ~stride ~n;
-          stats_equal (Printf.sprintf "%s run@%d" gname addr) batched scalar)
-        cases;
-      probe_equal gname batched scalar ~lines:40)
-    run_geometries
-
-let test_access_run_classified_equiv () =
-  let cfg = small in
-  let batched = Cache.create cfg and scalar = Cache.create cfg in
-  let groups = ref 0 and trailing_total = ref 0 in
-  Cache.access_run_classified batched ~addr:16 ~stride:8 ~n:100
-    ~f:(fun cl trailing ->
-      incr groups;
-      trailing_total := !trailing_total + trailing;
-      check bool "group head is a classified access" true
-        (cl.Cache.cl_line >= 0 || cl.Cache.cl_line < 0));
-  scalar_run scalar ~addr:16 ~stride:8 ~n:100;
-  stats_equal "classified run" batched scalar;
-  (* every access is either a reported group head or coalesced trailing *)
-  check int "groups + trailing = n" 100 (!groups + !trailing_total)
 
 let test_hit_run_equiv () =
   List.iter
@@ -312,7 +264,6 @@ let test_footprint_overflow_fallback () =
 
 type fa_op =
   | Access of int
-  | Run of int * int * int  (* addr, stride, n *)
   | Hit_run of int array * int  (* addresses made resident, then m rounds *)
   | Reset
 
@@ -337,21 +288,6 @@ let gen_fa_case =
       (int_range 0 (span - 1))
       (int_range 0 (line - 1))
   in
-  let run =
-    let* a = addr in
-    let* stride =
-      oneof
-        [
-          return 0;
-          int_range (-2 * line) (2 * line);
-          map (fun k -> k * line) (int_range (-3) 3);
-        ]
-    in
-    let* n = int_range 0 40 in
-    (* no address below 0: the simulator's address spaces start there *)
-    let n = if stride < 0 then min n ((a / -stride) + 1) else n in
-    return (Run (a, stride, n))
-  in
   let hit_run =
     let* k = int_range 1 assoc in
     let* addrs = array_repeat k addr in
@@ -362,7 +298,6 @@ let gen_fa_case =
     frequency
       [
         (5, map (fun a -> Access a) addr);
-        (3, run);
         (2, hit_run);
         (1, return Reset);
       ]
@@ -380,7 +315,6 @@ let gen_fa_case =
 let print_fa_case c =
   let op = function
     | Access a -> Printf.sprintf "access %d" a
-    | Run (a, s, n) -> Printf.sprintf "run %d/%d/%d" a s n
     | Hit_run (addrs, m) ->
       Printf.sprintf "hit_run [%s] x%d"
         (String.concat ";" (Array.to_list (Array.map string_of_int addrs)))
@@ -416,9 +350,6 @@ let prop_way_index_equals_scan =
         (fun i op ->
           (match op with
           | Access a -> access i a
-          | Run (addr, stride, n) ->
-            Cache.access_run indexed ~addr ~stride ~n;
-            Cache.access_run scan ~addr ~stride ~n
           | Hit_run (addrs, m) ->
             Array.iter (access i) addrs;
             let k = Array.length addrs in
@@ -450,8 +381,6 @@ let suite =
     ("miss rate", `Quick, test_miss_rate);
     ("associativity monotone", `Quick, test_assoc_monotone);
     ("paper cache presets", `Quick, test_paper_cache_presets);
-    ("access_run equivalence", `Quick, test_access_run_equiv);
-    ("access_run_classified equivalence", `Quick, test_access_run_classified_equiv);
     ("hit_run equivalence", `Quick, test_hit_run_equiv);
     ("hit_run requires residency", `Quick, test_hit_run_requires_resident);
     ("repeat_run equivalence", `Quick, test_repeat_run_equiv);

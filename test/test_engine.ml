@@ -480,8 +480,12 @@ let prop_address_oracle =
      where its guard is false, so each of its rows fails the bounds
      check and takes the per-point walk;
    - nest L3 has no loops: its box is 0-d;
+   - nest L4 writes [f] with no reads up to the middle of each row and
+     then sums [a] and [c] into [b], so its rows' run-compressed
+     segments hold one reference, then three;
    - a second phase holds boxes whose innermost range has one point or
-     none, and one whose outer range is empty. *)
+     none, one whose outer range is empty, and one whose short rows
+     cross L4's guard boundary. *)
 let edge_n = 12
 
 let edge_program =
@@ -499,7 +503,7 @@ let edge_program =
     decls =
       List.map
         (fun a -> { Ir.aname = a; extents = [ n; n ] })
-        [ "a"; "b"; "c"; "d"; "e" ];
+        [ "a"; "b"; "c"; "d"; "e"; "f" ];
     nests =
       [
         {
@@ -536,6 +540,21 @@ let edge_program =
                 (read "a" [ Ir.ac 1; Ir.ac 1 ]);
             ];
         };
+        {
+          Ir.nid = "L4";
+          levels = rows;
+          body =
+            [
+              Ir.stmt
+                ~guard:[ ("j", 0, n / 2) ]
+                (Ir.aref "f" [ i; j ])
+                (Ir.Const 1.0);
+              Ir.stmt
+                ~guard:[ ("j", (n / 2) + 1, n - 1) ]
+                (Ir.aref "b" [ i; j ])
+                (Ir.Bin (Ir.Add, read "a" [ i; j ], read "c" [ i; j ]));
+            ];
+        };
       ];
   }
 
@@ -551,7 +570,12 @@ let edge_schedule =
     phases =
       [
         Array.init 2 (fun p ->
-            [ box 0 [| half p; all |]; box 1 [| half p; all |]; box 2 [||] ]);
+            [
+              box 0 [| half p; all |];
+              box 1 [| half p; all |];
+              box 2 [||];
+              box 3 [| half p; all |];
+            ]);
         [|
           [
             box 0 [| all; (4, 4) |];
@@ -559,7 +583,11 @@ let edge_schedule =
             box 0 [| (0, 3); (5, 4) |];
             box 1 [| (5, 4); all |];
           ];
-          [ box 2 [||]; box 1 [| (3, 3); all |] ];
+          [
+            box 2 [||];
+            box 1 [| (3, 3); all |];
+            box 3 [| all; ((n / 2) - 1, (n / 2) + 2) |];
+          ];
         |];
       ];
     labels = [ "rows"; "edges" ];

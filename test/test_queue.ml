@@ -27,14 +27,9 @@ module Sweep = Lf_queue.Sweep
 
 open QCheck
 
-let scratch_dir tag =
-  let d = Filename.temp_file ("lf_queue_test_" ^ tag) "" in
-  Sys.remove d;
-  Unix.mkdir d 0o700;
-  d
-
-let scratch_store () = Store.open_ ~dir:(scratch_dir "store") ()
-let scratch_queue () = Queue.open_ ~dir:(scratch_dir "q")
+(* A test's store and queue, in its scratch directory [dir]. *)
+let store_in dir = Store.open_ ~dir:(Filename.concat dir "store") ()
+let queue_in dir = Queue.open_ ~dir:(Filename.concat dir "q")
 
 (* A small, fast, all-legal request mix (Run_compressed + Miss_only). *)
 let mini_mix ?(n = 24) () =
@@ -47,9 +42,9 @@ let results_identical = Tutil.results_identical
 let serial = Run_opts.make ~jobs:1 ()
 
 (* Serial reference: compute [reqs] inline (jobs=1) into a fresh store
-   and return it. *)
-let serial_store reqs =
-  let store = scratch_store () in
+   in [dir] and return it. *)
+let serial_store dir reqs =
+  let store = Store.open_ ~dir:(Filename.concat dir "reference") () in
   let _, summary =
     Batch.run_with
       (Run_opts.with_store (Store_in (Some (Store.dir store))) serial)
@@ -70,8 +65,9 @@ let store_matches ~reference store reqs =
 (* Enqueue semantics                                                   *)
 
 let test_enqueue_misses () =
-  let store = scratch_store () in
-  let q = scratch_queue () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = store_in dir in
+  let q = queue_in dir in
   let reqs = mini_mix () in
   let warm = List.hd reqs in
   (* pre-warm one entry: it must be skipped as a hit *)
@@ -91,8 +87,7 @@ let test_enqueue_misses () =
   let st2 = Queue.enqueue_misses q ~store reqs in
   Alcotest.(check int) "nothing re-enqueued" 0 st2.Queue.e_enqueued;
   Alcotest.(check int) "repeats counted" (unique - 1)
-    st2.Queue.e_queued_before;
-  ignore (Store.clear store)
+    st2.Queue.e_queued_before
 
 (* QCheck: over random sub-mixes, the enqueue outcome counts always
    partition e_unique, and a single drain makes the store answer every
@@ -103,10 +98,11 @@ let prop_enqueue_drain =
        ~print:(fun (a, b) -> Printf.sprintf "take=%d n=%d" a b)
        Gen.(pair (int_range 1 8) (int_range 24 28)))
     (fun (take, n) ->
+      Tutil.with_temp_dir @@ fun dir ->
       let all = mini_mix ~n () in
       let reqs = List.filteri (fun i _ -> i < take) all in
-      let store = scratch_store () in
-      let q = scratch_queue () in
+      let store = store_in dir in
+      let q = queue_in dir in
       let st = Queue.enqueue_misses q ~store reqs in
       if
         st.Queue.e_hits + st.Queue.e_enqueued + st.Queue.e_queued_before
@@ -115,7 +111,7 @@ let prop_enqueue_drain =
       then Test.fail_report "outcome counts do not partition e_unique";
       let ws = Queue.worker ~wid:"prop" ~opts:serial ~store q in
       if ws.Queue.w_failed > 0 then Test.fail_report "drain failed";
-      let reference = serial_store reqs in
+      let reference = serial_store dir reqs in
       if not (store_matches ~reference store reqs) then
         Test.fail_report "drained store differs from serial reference";
       true)
@@ -124,10 +120,11 @@ let prop_enqueue_drain =
 (* Parallel drains: domains and forked processes                       *)
 
 let test_domain_workers_identical () =
+  Tutil.with_temp_dir @@ fun dir ->
   let reqs = mini_mix () in
-  let reference = serial_store reqs in
-  let store = scratch_store () in
-  let q = scratch_queue () in
+  let reference = serial_store dir reqs in
+  let store = store_in dir in
+  let q = queue_in dir in
   ignore (Queue.enqueue_misses q ~store reqs);
   let workers =
     Array.init 3 (fun i ->
@@ -163,12 +160,12 @@ let test_worker_processes_identical () =
   with
   | None -> Alcotest.skip ()
   | Some lfc ->
-    begin
+    Tutil.with_temp_dir @@ fun dir ->
     let reqs = mini_mix () in
-    let reference = serial_store reqs in
-    let store_dir = scratch_dir "fstore" in
+    let reference = serial_store dir reqs in
+    let store_dir = Filename.concat dir "store" in
     let store = Store.open_ ~dir:store_dir () in
-    let queue_dir = scratch_dir "fq" in
+    let queue_dir = Filename.concat dir "q" in
     let q = Queue.open_ ~dir:queue_dir in
     ignore (Queue.enqueue_misses q ~store reqs);
     let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -194,7 +191,6 @@ let test_worker_processes_identical () =
     Alcotest.(check int) "no failures" 0 st.Queue.failed;
     Alcotest.(check bool) "worker-process drain bit-identical to serial" true
       (store_matches ~reference store reqs)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Lease lifecycle                                                     *)
@@ -204,8 +200,9 @@ let expire lease_path =
   Unix.utimes lease_path past past
 
 let test_dead_worker_reclaim () =
-  let store = scratch_store () in
-  let q = scratch_queue () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = store_in dir in
+  let q = queue_in dir in
   let reqs = [ List.hd (mini_mix ()) ] in
   ignore (Queue.enqueue_misses q ~store reqs);
   (* a worker claims, then dies: the lease stops heartbeating *)
@@ -224,15 +221,15 @@ let test_dead_worker_reclaim () =
   let ws = Queue.worker ~wid:"rescuer" ~opts:serial ~store q in
   Alcotest.(check int) "rescuer computed it" 1 ws.Queue.w_computed;
   Alcotest.(check bool) "store answers" true
-    (Store.lookup store (List.hd reqs) <> None);
-  ignore (Store.clear store)
+    (Store.lookup store (List.hd reqs) <> None)
 
 (* Double compute after a steal: both the thief and the original owner
    publish; content addressing makes the second publish a byte-
    identical overwrite, and completing a vanished lease is tolerated. *)
 let test_steal_idempotent () =
-  let store = scratch_store () in
-  let q = scratch_queue () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = store_in dir in
+  let q = queue_in dir in
   let req = List.hd (mini_mix ()) in
   ignore (Queue.enqueue_misses q ~store [ req ]);
   let _, _, lease_a =
@@ -270,15 +267,15 @@ let test_steal_idempotent () =
   (* warm now: nothing to enqueue *)
   let es = Queue.enqueue_misses q ~store [ req ] in
   Alcotest.(check int) "warm: store hit" 1 es.Queue.e_hits;
-  Alcotest.(check int) "warm: nothing enqueued" 0 es.Queue.e_enqueued;
-  ignore (Store.clear store)
+  Alcotest.(check int) "warm: nothing enqueued" 0 es.Queue.e_enqueued
 
 (* ------------------------------------------------------------------ *)
 (* Terminal failures                                                   *)
 
 let test_failed_task_terminal () =
-  let store = scratch_store () in
-  let q = scratch_queue () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = store_in dir in
+  let q = queue_in dir in
   (* 9 processors on an 8-iteration space: Schedule.unfused raises at
      compute time, after the digest admitted the task *)
   let p = Tutil.chain_program ~lo:1 ~hi:8 [ [ 0 ]; [ 0 ] ] in
@@ -312,8 +309,9 @@ let test_failed_task_terminal () =
 (* A worker returns as soon as its loop ends: stopping the heartbeat
    wakes its thread instead of waiting out a ttl/4 sleep, 10 s here. *)
 let test_worker_returns_promptly () =
-  let store = scratch_store () in
-  let q = scratch_queue () in
+  Tutil.with_temp_dir @@ fun dir ->
+  let store = store_in dir in
+  let q = queue_in dir in
   let t0 = Unix.gettimeofday () in
   let ws = Queue.worker ~wid:"idle" ~ttl:40. ~opts:serial ~store q in
   let dt = Unix.gettimeofday () -. t0 in
@@ -325,12 +323,13 @@ let test_worker_returns_promptly () =
 (* Shared fingerprint view                                             *)
 
 let test_fingerprint_file_roundtrip () =
+  Tutil.with_temp_dir @@ fun dir ->
   Sim.Fingerprint.clear_overrides ();
   (match Sim.Fingerprint.set_override "derive" "queue-test-2" with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let view = Sim.Fingerprint.all () in
-  let path = Filename.temp_file "lf_fp_test" "" in
+  let path = Filename.concat dir "fingerprint" in
   Sim.Fingerprint.save_file path;
   Sim.Fingerprint.clear_overrides ();
   Alcotest.(check bool) "overrides cleared" true
@@ -355,8 +354,8 @@ let test_fingerprint_file_roundtrip () =
     Alcotest.fail "garbage fingerprint file accepted");
   Sys.remove path;
   (* enqueue_misses publishes the enqueuer's view into the queue dir *)
-  let store = scratch_store () in
-  let q = scratch_queue () in
+  let store = store_in dir in
+  let q = queue_in dir in
   ignore (Queue.enqueue_misses q ~store [ List.hd (mini_mix ()) ]);
   Alcotest.(check bool) "queue carries a fingerprint file" true
     (Sys.file_exists (Queue.fingerprint_file q));

@@ -13,11 +13,6 @@ module Batch = Lf_batch.Batch
 module Store = Lf_batch.Batch.Store
 module Run_opts = Lf_batch.Run_opts
 
-let scratch_dir () =
-  let path = Filename.temp_file "lf_run_opts_test" "" in
-  Sys.remove path;
-  path
-
 (* ------------------------------------------------------------------ *)
 
 let test_defaults_and_combinators () =
@@ -52,9 +47,10 @@ let test_defaults_and_combinators () =
     && Tutil.contains s "timeout=2.5s")
 
 let test_store_of_opts_memoised () =
+  Tutil.with_temp_dir @@ fun root ->
   Alcotest.(check bool) "Store_off resolves to None" true
     (Batch.store_of_opts Run_opts.(without_store default) = None);
-  let dir = scratch_dir () in
+  let dir = Filename.concat root "a" in
   let h1 = Batch.store_of_opts (Run_opts.make ~store:(Run_opts.Store_in (Some dir)) ()) in
   let h2 = Batch.store_of_opts (Run_opts.make ~store:(Run_opts.Store_in (Some dir)) ()) in
   let h3 = Batch.store_of_opts (Run_opts.make ~store:(Run_opts.Store_cold (Some dir)) ()) in
@@ -63,7 +59,7 @@ let test_store_of_opts_memoised () =
     Alcotest.(check bool) "same root, same handle" true (s1 == s2);
     Alcotest.(check bool) "cold policy shares the handle too" true (s1 == s3)
   | _ -> Alcotest.fail "policy with a root resolved no store");
-  let other = scratch_dir () in
+  let other = Filename.concat root "b" in
   match
     Batch.store_of_opts (Run_opts.make ~store:(Run_opts.Store_in (Some other)) ())
   with

@@ -359,8 +359,7 @@ let drr_fairness () =
 (* Batch counter scopes (satellite: per-connection accounting).        *)
 
 let counter_scopes () =
-  let dir = Filename.temp_file "lf_scope" "" in
-  Sys.remove dir;
+  Tutil.with_temp_dir @@ fun dir ->
   let store = Batch.Store.open_ ~dir () in
   let opts = Lf_batch.Run_opts.(make ~store:(Store_in (Some dir)) ()) in
   let req =
@@ -385,21 +384,13 @@ let counter_scopes () =
     (Batch.hit_count () - h0, Batch.computed_count () - c0);
   Batch.Counters.reset s2;
   Alcotest.(check (pair int int)) "reset zeroes the scope" (0, 0)
-    (Batch.Counters.hits s2, Batch.Counters.computed s2);
-  ignore (Batch.Store.clear store);
-  (try Unix.rmdir dir with _ -> ())
+    (Batch.Counters.hits s2, Batch.Counters.computed s2)
 
 (* ------------------------------------------------------------------ *)
 (* Live server tests.                                                  *)
 
-let fresh_paths tag =
-  let dir = Filename.temp_file ("lf_serve_" ^ tag) "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  (dir, Filename.concat dir "s.sock", Filename.concat dir "store")
-
-let rm_rf dir =
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+(* A server's socket and store paths in a test's scratch [dir]. *)
+let paths_in dir = (Filename.concat dir "s.sock", Filename.concat dir "store")
 
 let test_cfg ~socket ~store_dir =
   let dc = Serve.default_config () in
@@ -427,12 +418,11 @@ let test_requests () =
   ]
 
 let server_robustness () =
-  let dir, socket, store_dir = fresh_paths "robust" in
+  Tutil.with_temp_dir @@ fun dir ->
+  let socket, store_dir = paths_in dir in
   let t = Serve.start (test_cfg ~socket ~store_dir) in
   Fun.protect
-    ~finally:(fun () ->
-      Serve.stop t;
-      rm_rf dir)
+    ~finally:(fun () -> Serve.stop t)
     (fun () ->
       (* 1. well-framed garbage payload: Rejected, connection survives *)
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -514,12 +504,11 @@ let server_robustness () =
       Client.close c)
 
 let server_bit_identity () =
-  let dir, socket, store_dir = fresh_paths "ident" in
+  Tutil.with_temp_dir @@ fun dir ->
+  let socket, store_dir = paths_in dir in
   let t = Serve.start (test_cfg ~socket ~store_dir) in
   Fun.protect
-    ~finally:(fun () ->
-      Serve.stop t;
-      rm_rf dir)
+    ~finally:(fun () -> Serve.stop t)
     (fun () ->
       let reqs = test_requests () in
       (* local references, bit-exact by the engine's determinism *)
@@ -581,7 +570,8 @@ let server_bit_identity () =
       Client.close c)
 
 let server_saturation () =
-  let dir, socket, store_dir = fresh_paths "sat" in
+  Tutil.with_temp_dir @@ fun dir ->
+  let socket, store_dir = paths_in dir in
   let dc = Serve.default_config () in
   let t =
     Serve.start
@@ -597,9 +587,7 @@ let server_saturation () =
       }
   in
   Fun.protect
-    ~finally:(fun () ->
-      Serve.stop t;
-      rm_rf dir)
+    ~finally:(fun () -> Serve.stop t)
     (fun () ->
       let c = Client.connect ~socket () in
       (* a slow job occupies the single worker; with max_inflight 2
@@ -645,7 +633,8 @@ let server_saturation () =
         (5 - !overloaded <= 2))
 
 let server_stop_releases_socket () =
-  let dir, socket, store_dir = fresh_paths "stop" in
+  Tutil.with_temp_dir @@ fun dir ->
+  let socket, store_dir = paths_in dir in
   let t = Serve.start (test_cfg ~socket ~store_dir) in
   let c = Client.connect ~socket () in
   Alcotest.(check bool) "live" true (Client.ping c);
@@ -664,8 +653,7 @@ let server_stop_releases_socket () =
   let c = Client.connect ~socket () in
   Alcotest.(check bool) "rebound" true (Client.ping c);
   Client.close c;
-  Serve.stop t2;
-  rm_rf dir
+  Serve.stop t2
 
 let suite =
   [

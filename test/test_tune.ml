@@ -106,15 +106,12 @@ module Batch = Lf_batch.Batch
 module Run_opts = Lf_batch.Run_opts
 
 let test_store_policies () =
-  let fresh_root () =
-    let path = Filename.temp_file "lf_tune_store" "" in
-    Sys.remove path;
-    path
-  in
+  Tutil.with_temp_dir @@ fun dir ->
   let entries root =
     (Batch.Store.stats (Batch.Store.open_ ~dir:root ())).Batch.Store.entries
   in
-  let root = fresh_root () and unused = fresh_root () in
+  let root = Filename.concat dir "store"
+  and unused = Filename.concat dir "unused" in
   let p = ll18 48 in
   (* a fresh memo cache per search, so every exact lookup reaches the
      batch layer; returns the outcome, the cold evaluations issued,

@@ -40,6 +40,22 @@ let contains haystack needle =
   in
   nn = 0 || go 0
 
+(* [with_temp_dir f] runs [f dir] on a fresh empty directory in the
+   temp directory, then removes the directory and everything under it,
+   whether [f] returns or raises.  Tests that need several stores or
+   queues make them inside [dir]. *)
+let with_temp_dir f =
+  let rec rm_rf path =
+    match (Unix.lstat path).Unix.st_kind with
+    | Unix.S_DIR ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    | _ -> Sys.remove path
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  in
+  let dir = Filename.temp_dir "lf_test_" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 (* A 1-D stencil chain program: nest k writes array [a_k] reading
    [a_(k-1)] at the given offsets; array a0 is an input.  All nests are
    parallel over [lo, hi]. *)
